@@ -30,15 +30,17 @@ from .sigtest import (
     classify,
     compare,
     d1_star,
+    p_values,
     significance_marks,
     t_cdf,
 )
-from .trend import TrendFit, effective_n, fit, lag1_autocorr
+from .trend import BatchFit, TrendFit, effective_n, fit, fit_batch, lag1_autocorr
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ar1Spec",
+    "BatchFit",
     "ComparisonSpec",
     "ComputationError",
     "DatasetEntry",
@@ -59,9 +61,11 @@ __all__ = [
     "difference",
     "effective_n",
     "fit",
+    "fit_batch",
     "generate",
     "generate_batch",
     "lag1_autocorr",
+    "p_values",
     "read_registry",
     "read_series",
     "render",

@@ -6,6 +6,8 @@ covers numerical and domain failures in otherwise valid requests
 (CLI exit code 2).
 """
 
+from __future__ import annotations
+
 
 class TrendSigError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,7 +18,15 @@ class InputError(TrendSigError):
 
 
 class ComputationError(TrendSigError):
-    """Numerical or domain failure during an otherwise valid computation."""
+    """Numerical or domain failure during an otherwise valid computation.
+
+    ``row`` is the index of the offending row when a batched computation
+    fails on one row of its input, and None otherwise.
+    """
+
+    def __init__(self, *args, row: int | None = None) -> None:
+        super().__init__(*args)
+        self.row = row
 
 
 class ParseError(InputError):

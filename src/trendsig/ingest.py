@@ -262,11 +262,13 @@ def _parse_comparison(parser: ConfigParser, section: str, ident: str) -> Compari
                 f"[{section}] ensemble field {key!r} is not a number: {raw!r}"
             ) from None
 
-    ensemble = EnsembleStats(
-        trend=ensemble_number("ensemble_trend", float),
-        inter_model_sd=ensemble_number("ensemble_sd", float),
-        n_models=ensemble_number("n_models", int),
-    )
+    trend = ensemble_number("ensemble_trend", float)
+    inter_model_sd = ensemble_number("ensemble_sd", float)
+    n_models = ensemble_number("n_models", int)
+    try:
+        ensemble = EnsembleStats(trend, inter_model_sd, n_models)
+    except InputError as exc:
+        raise BadSpec(f"[{section}] {exc}") from None
 
     def window_month(key: str) -> MonthIndex:
         raw = _require(parser, section, key, BadWindow, "window field")

@@ -4,27 +4,35 @@ Attaining nominal rejection rates on autocorrelated noise is the whole
 point of the adjusted test, so this module generates series whose noise
 follows ``e[t] = phi * e[t-1] + eps[t]`` with Gaussian innovations and a
 stationary start (``e[0]`` drawn with variance ``sigma^2 / (1 - phi^2)``),
-then runs the full fit-and-compare pipeline over many replicates.
+then runs the fit-and-compare pipeline over many replicates.
+
+Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
+:func:`size_power` fits and classifies each chunk at once through
+:func:`~trendsig.trend.fit_batch` and :func:`~trendsig.sigtest.p_values`.
+Its working memory is therefore a few ``CHUNK_ROWS x n`` float matrices
+(about 3 MB each at n = 360), whatever the replicate count.
 
 Determinism contract: replicate ``k`` of a given spec consumes draws
 ``[k*n, (k+1)*n)`` of the seed's innovation stream, so any slice of
 replicates is a pure function of ``(seed, k, n)`` and results cannot
-depend on execution order.
+depend on execution order or on the chunk size.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .errors import DomainError, InputError
+from .errors import ComputationError, DomainError, InputError
 from .series import MonthIndex, MonthlySeries
-from .sigtest import EnsembleStats, compare
-from .trend import MONTHS_PER_DECADE, fit
+from .sigtest import SIDES, EnsembleStats, d1_star, p_values
+
+# ``fit`` is unused here, but perfbench's tracer and its tests patch
+# trendsig.mc.fit, so the name must exist.
+from .trend import MONTHS_PER_DECADE, fit, fit_batch  # noqa: F401
 
 __all__ = [
     "Ar1Spec",
@@ -72,18 +80,34 @@ class Ar1Spec:
             raise DomainError(f"need n >= 3 months, got {self.n}")
 
 
-def _noise(spec: Ar1Spec, reps: int) -> np.ndarray:
-    """AR(1) noise for replicates ``0..reps-1``, one per row."""
-    innov = np.random.default_rng(spec.seed).standard_normal((reps, spec.n))
+# Replicates generated and evaluated together: bounds size_power's memory.
+CHUNK_ROWS = 1024
+
+
+def _noise_chunks(spec: Ar1Spec, reps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """AR(1) noise for replicates ``0..reps-1`` as ``(first replicate, rows)``.
+
+    Consecutive chunks read one generator, so the rows are the same as one
+    ``(reps, n)`` draw would give.
+    """
+    rng = np.random.default_rng(spec.seed)
     scale = np.full(spec.n, spec.sigma_innov)
     if spec.phi != 0.0:
         # Stationary start: the first draw carries the marginal, not the
         # innovation, standard deviation.
         scale[0] = spec.sigma_innov / np.sqrt(1.0 - spec.phi**2)
-    innov *= scale
-    if spec.phi == 0.0:
-        return innov
-    return lfilter([1.0], [1.0, -spec.phi], innov, axis=1)
+    for first in range(0, reps, CHUNK_ROWS):
+        y = rng.standard_normal((min(CHUNK_ROWS, reps - first), spec.n))
+        y *= scale
+        if spec.phi != 0.0:
+            for t in range(1, spec.n):
+                y[:, t] += spec.phi * y[:, t - 1]
+        yield first, y
+
+
+def _noise(spec: Ar1Spec, reps: int) -> np.ndarray:
+    """AR(1) noise for replicates ``0..reps-1``, one per row."""
+    return np.concatenate([y for _, y in _noise_chunks(spec, reps)])
 
 
 def _with_trend(spec: Ar1Spec, noise: np.ndarray) -> np.ndarray:
@@ -129,33 +153,46 @@ def size_power(
     ``ens.trend`` (true agreement with the ensemble).  Each entry of
     ``trend_gaps`` offsets the true trend by that many deg C/decade and
     contributes one ``(gap, rejection rate)`` pair to the power curve.
-    The same noise matrix is reused across trend values, so a gap of 0
-    reproduces the size exactly.
+    The same noise rows are reused across trend values, so a gap of 0
+    reproduces the size exactly.  A replicate is rejected when its
+    ``sided`` p-value is at most ``alpha``.
+
+    A replicate that cannot be fitted (for example one whose residuals
+    leave no effective degrees of freedom) aborts the study with the
+    fit's :class:`~trendsig.errors.ComputationError`, its message naming
+    the replicate index and the true trend.
     """
     if reps < 1000:
         raise InputError(f"need at least 1000 replicates for stable rates, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    if sided not in SIDES:
+        raise InputError(f"sided must be 'one' or 'two', got {sided!r}")
 
-    noise = _noise(null_spec, reps)
-    ramp_x = np.arange(null_spec.n)
-
-    def rejection_rate(true_trend: float) -> float:
-        values = noise + (true_trend / MONTHS_PER_DECADE) * ramp_x
-        spec = replace(null_spec, trend_per_decade=true_trend)
-        rejections = 0
-        for k in range(reps):
-            series = MonthlySeries.from_start(
-                f"ar1-seed{spec.seed}-rep{k}", spec.start, values[k]
+    n = null_spec.n
+    months = null_spec.start.ordinal + np.arange(n)
+    ramp = np.arange(n)
+    trends = [ens.trend] + [ens.trend + g for g in trend_gaps]
+    rejections = [0] * len(trends)
+    for first, noise in _noise_chunks(null_spec, reps):
+        for j, true_trend in enumerate(trends):
+            try:
+                f = fit_batch(months, noise + (true_trend / MONTHS_PER_DECADE) * ramp)
+            except ComputationError as exc:
+                if exc.row is None:
+                    raise
+                raise type(exc)(
+                    f"replicate {first + exc.row} at true trend {true_trend!r}: {exc}"
+                ) from exc
+            _, p_two, p_one = p_values(
+                d1_star(ens, f.slope_per_decade, f.se_slope), f.df
             )
-            result = compare(ens, fit(series), sided=sided)
-            if result.p_value(sided) <= alpha:
-                rejections += 1
-        return rejections / reps
+            p = p_two if sided == "two" else p_one
+            rejections[j] += int(np.count_nonzero(p <= alpha))
 
-    size = rejection_rate(ens.trend)
-    curve = [(float(g), rejection_rate(ens.trend + g)) for g in trend_gaps]
-    return SizePower(size=size, power_curve=curve)
+    rates = [r / reps for r in rejections]
+    curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]
+    return SizePower(size=rates[0], power_curve=curve)
 
 
 def size_power_csv(

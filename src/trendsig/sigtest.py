@@ -10,6 +10,11 @@ It is referred to a Student-t distribution whose degrees of freedom come
 from the observed series (n_eff - 2).  Results report the t-CDF
 percentile, one- and two-sided p-values, and asterisk marks at the 10, 5
 and 1 percent levels.
+
+:func:`d1_star` and :func:`p_values` also work elementwise on arrays, which
+is how the Monte Carlo study classifies many replicates at once; the scalar
+functions are their one-element case.  ``scipy.special`` is imported only
+when a CDF is first evaluated, so importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
+import numpy as np
 
 from .errors import DomainError, InputError, NonFiniteInput, ZeroDenominator
 from .trend import TrendFit
@@ -44,6 +49,11 @@ class EnsembleStats:
     n_models: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.trend) and math.isfinite(self.inter_model_sd)):
+            raise InputError(
+                f"ensemble trend and inter_model_sd must be finite, "
+                f"got {self.trend} and {self.inter_model_sd}"
+            )
         if self.inter_model_sd < 0:
             raise InputError(f"inter_model_sd must be >= 0, got {self.inter_model_sd}")
         if self.n_models < 1:
@@ -73,32 +83,60 @@ class TestResult:
         return self.p_two_sided if sided == "two" else self.p_one_sided
 
 
-def d1_star(ens: EnsembleStats, obs_trend: float, obs_se: float) -> float:
+def d1_star(
+    ens: EnsembleStats, obs_trend: float | np.ndarray, obs_se: float | np.ndarray
+) -> float | np.ndarray:
     """The modified t statistic for an observed trend against the ensemble.
 
-    Either spread term may be zero, but not both.
+    Either spread term may be zero, but not both.  Arrays of trends and
+    standard errors give an array of statistics; scalars give a float.
     """
     denom2 = ens.inter_model_sd**2 / ens.n_models + obs_se**2
-    if denom2 <= 0.0:
+    if np.any(denom2 <= 0.0):
         raise ZeroDenominator("both the inter-model spread and the observed se are zero")
-    return (ens.trend - obs_trend) / math.sqrt(denom2)
+    d1 = (ens.trend - obs_trend) / np.sqrt(denom2)
+    return float(d1) if np.ndim(d1) == 0 else d1
+
+
+def p_values(
+    d1: float | np.ndarray, df: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Student-t CDF and p-values of statistics ``d1`` under ``df`` degrees of freedom.
+
+    Elementwise on arrays; returns ``(cdf, p_two_sided, p_one_sided)``.
+    The CDF uses the regularized incomplete beta function: for x > 0,
+    CDF = 1 - I_w(df/2, 1/2) / 2 with w = df / (df + x^2), and the
+    mirror image for x < 0.  The two-sided p-value is 2 * min(CDF, 1 - CDF);
+    the one-sided alternative is "trends differ in the direction observed",
+    i.e. half the two-sided value.  Inputs are not validated: ``d1`` must be
+    finite and ``df`` positive.
+    """
+    from scipy.special import betainc
+
+    w = df / (df + d1 * d1)
+    half_tail = 0.5 * betainc(df / 2.0, 0.5, w)
+    cdf = np.where(d1 > 0, 1.0 - half_tail, half_tail)
+    p_two = 2.0 * np.minimum(cdf, 1.0 - cdf)
+    return cdf, p_two, 0.5 * p_two
 
 
 def t_cdf(x: float, df: float) -> float:
     """Student-t CDF with real-valued degrees of freedom.
 
-    Uses the regularized incomplete beta function: for x > 0,
-    CDF = 1 - I_w(df/2, 1/2) / 2 with w = df / (df + x^2), and the
-    mirror image for x < 0.  Absolute error is well inside 1e-10 over
-    df in [1, 1000], |x| <= 50.
+    The scalar case of :func:`p_values`.  Absolute error is well inside
+    1e-10 over df in [1, 1000], |x| <= 50.
     """
+    return _scalar_p_values(x, df)[0]
+
+
+def _scalar_p_values(x: float, df: float) -> tuple[float, float, float]:
+    """:func:`p_values` of one statistic, with its arguments checked."""
     if not math.isfinite(x):
         raise NonFiniteInput(f"x must be finite, got {x}")
     if not df > 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
-    w = df / (df + x * x)
-    half_tail = 0.5 * float(betainc(df / 2.0, 0.5, w))
-    return 1.0 - half_tail if x > 0 else half_tail
+    cdf, p_two, p_one = p_values(x, df)
+    return float(cdf), float(p_two), float(p_one)
 
 
 def significance_marks(p: float) -> str:
@@ -117,15 +155,9 @@ def significance_marks(p: float) -> str:
 def classify(d1: float, df: float) -> TestResult:
     """P-values, percentile and marks for a statistic under Student-t(df).
 
-    The two-sided p-value is 2 * min(CDF, 1 - CDF); the one-sided
-    alternative is "trends differ in the direction observed", i.e. half
-    the two-sided value.
+    The scalar case of :func:`p_values`.
     """
-    if not df > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
-    cdf = t_cdf(d1, df)
-    p_two = 2.0 * min(cdf, 1.0 - cdf)
-    p_one = 0.5 * p_two
+    cdf, p_two, p_one = _scalar_p_values(d1, df)
     return TestResult(
         d1_star=d1,
         df=df,

@@ -14,11 +14,14 @@ of squares keeps all actual points:
 
 with the slope and its standard error reported in deg C per decade
 (120 months).
+
+:func:`fit_batch` applies all of this row by row to a matrix of series on
+one month axis; :func:`fit` is its one-row case, so a row of a batch gets
+exactly the numbers a single fit of that row gets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ from .errors import (
     DegenerateDesign,
     DomainError,
     EffectiveDfTooSmall,
+    InputError,
     NonFiniteInput,
     TooFewPoints,
 )
@@ -77,6 +81,15 @@ class TrendFit:
     df: float
 
 
+def _lag1_rows(e: np.ndarray) -> np.ndarray:
+    """Row-wise lag-1 autocorrelation; 0 for a constant row."""
+    c = e - e.sum(axis=1, keepdims=True) / e.shape[1]
+    denom = np.vecdot(c, c)
+    # A constant row has c == 0, so its numerator is 0 as well.
+    denom[denom == 0.0] = 1.0
+    return np.vecdot(c[:, :-1], c[:, 1:]) / denom
+
+
 def lag1_autocorr(residuals) -> float:
     """Lag-1 sample autocorrelation of a residual sequence.
 
@@ -87,11 +100,7 @@ def lag1_autocorr(residuals) -> float:
     e = np.asarray(residuals, dtype=np.float64)
     if e.size < 2:
         raise TooFewPoints(f"lag-1 autocorrelation needs at least 2 values, got {e.size}")
-    c = e - e.mean()
-    denom = float(c @ c)
-    if denom == 0.0:
-        return 0.0
-    return float(c[:-1] @ c[1:]) / denom
+    return float(_lag1_rows(e.reshape(1, -1))[0])
 
 
 def effective_n(n: int, r1: float) -> float:
@@ -104,12 +113,121 @@ def effective_n(n: int, r1: float) -> float:
         raise DomainError(f"n must be at least 1, got {n}")
     if not -1.0 < r1 < 1.0:
         raise DomainError(f"r1 must lie in (-1, 1), got {r1}")
-    raw = (n * (1.0 - r1)) / (1.0 + r1)
-    return min(raw, float(n))
+    return float(_effective_n(n, r1))
+
+
+def _effective_n(n: int, r1):
+    """The clamped n_eff formula without argument checks, elementwise."""
+    return np.minimum((n * (1.0 - r1)) / (1.0 + r1), float(n))
+
+
+@dataclass(frozen=True, eq=False)
+class BatchFit:
+    """Row-wise trends from :func:`fit_batch`.
+
+    Each field means what the same-named :class:`TrendFit` field means and
+    holds one entry per input row; ``residuals`` has the input's
+    ``(rows, n)`` shape and is read-only, and ``n`` is shared by all rows.
+    """
+
+    slope_per_month: np.ndarray
+    slope_per_decade: np.ndarray
+    intercept: np.ndarray
+    n: int
+    residuals: np.ndarray
+    r1: np.ndarray
+    n_eff: np.ndarray
+    se_slope: np.ndarray
+    df: np.ndarray
+
+
+def fit_batch(months, values) -> BatchFit:
+    """Least-squares trends of many series that share one month axis.
+
+    Parameters
+    ----------
+    months : array_like of int, shape (n,)
+        Month ordinals in series order, at least 3 of them and not all
+        equal; gaps leave holes in the regressor.
+    values : array_like of float, shape (rows, n)
+        One series per row; every value finite.
+
+    Returns
+    -------
+    BatchFit
+
+    Raises
+    ------
+    InputError
+        The shapes do not match.
+    TooFewPoints, DegenerateDesign
+        The month axis is too short or all in one month.
+    NonFiniteInput, EffectiveDfTooSmall
+        Raised for the first offending row, whose index is the error's
+        ``row``.
+    """
+    x = np.asarray(months).astype(np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+        raise InputError(
+            f"need months of shape (n,) and values of shape (rows, n), "
+            f"got {x.shape} and {y.shape}"
+        )
+    n = x.size
+    if n < 3:
+        raise TooFewPoints(f"trend fit needs at least 3 points, got {n}")
+    if not np.isfinite(y).all():
+        row = int(np.argmin(np.isfinite(y).all(axis=1)))
+        raise NonFiniteInput(f"row {row} contains non-finite values", row=row)
+    # Sums over n, not .mean(): the same arithmetic with less call overhead.
+    xbar = float(x.sum() / n)
+    xc = x - xbar
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateDesign("all points fall in the same month")
+    ybar = y.sum(axis=1) / n
+    yc = y - ybar[:, np.newaxis]
+    slope = np.vecdot(yc, xc) / sxx
+    intercept = ybar - slope * xbar
+    residuals = y - (intercept[:, np.newaxis] + slope[:, np.newaxis] * x)
+    residuals.setflags(write=False)
+
+    ss_res = np.vecdot(residuals, residuals)
+    ss_tot = np.vecdot(yc, yc)
+    # Rounding can push a near-perfect correlation onto the boundary;
+    # nudge it back inside the open interval.
+    r1 = np.clip(_lag1_rows(residuals), -1.0 + 1e-15, 1.0 - 1e-15)
+    # A constant row (ss_tot == 0) has zero residuals, so it counts as exact.
+    r1[ss_res <= _EXACT_FIT_RATIO * ss_tot] = 0.0
+
+    n_eff = _effective_n(n, r1)
+    df = n_eff - 2.0
+    short = df <= 0.0
+    if short.any():
+        row = int(short.argmax())
+        raise EffectiveDfTooSmall(
+            f"effective sample size {n_eff[row]:.3f} leaves no degrees of freedom",
+            row=row,
+        )
+    se_month = np.sqrt(ss_res / df / sxx)
+
+    return BatchFit(
+        slope_per_month=slope,
+        slope_per_decade=MONTHS_PER_DECADE * slope,
+        intercept=intercept,
+        n=n,
+        residuals=residuals,
+        r1=r1,
+        n_eff=n_eff,
+        se_slope=MONTHS_PER_DECADE * se_month,
+        df=df,
+    )
 
 
 def fit(s: MonthlySeries) -> TrendFit:
     """Least-squares trend of a monthly series with AR1-adjusted uncertainty.
+
+    The one-row case of :func:`fit_batch`.
 
     Parameters
     ----------
@@ -124,51 +242,18 @@ def fit(s: MonthlySeries) -> TrendFit:
     ------
     TooFewPoints, DegenerateDesign, NonFiniteInput, EffectiveDfTooSmall
     """
-    n = len(s)
-    if n < 3:
-        raise TooFewPoints(f"trend fit needs at least 3 points, got {n}")
-    x = s.months.astype(np.float64)
-    y = s.values
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput(f"series {s.name!r} contains non-finite values")
-    if x[0] == x[-1]:
-        raise DegenerateDesign("all points fall in the same month")
-
-    xc = x - x.mean()
-    ybar = float(y.mean())
-    yc = y - ybar
-    sxx = float(xc @ xc)
-    slope = float(xc @ yc) / sxx
-    intercept = ybar - slope * float(x.mean())
-    residuals = y - (intercept + slope * x)
-    residuals.setflags(write=False)
-
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(yc @ yc)
-    if ss_tot == 0.0 or ss_res <= _EXACT_FIT_RATIO * ss_tot:
-        r1 = 0.0
-    else:
-        # Rounding can push a near-perfect correlation onto the boundary;
-        # nudge it back inside the open interval.
-        r1 = float(np.clip(lag1_autocorr(residuals), -1.0 + 1e-15, 1.0 - 1e-15))
-
-    n_eff = effective_n(n, r1)
-    df = n_eff - 2.0
-    if df <= 0.0:
-        raise EffectiveDfTooSmall(
-            f"effective sample size {n_eff:.3f} leaves no degrees of freedom"
-        )
-    sigma2 = ss_res / df
-    se_month = math.sqrt(sigma2 / sxx)
-
+    try:
+        b = fit_batch(s.months, s.values.reshape(1, -1))
+    except NonFiniteInput:
+        raise NonFiniteInput(f"series {s.name!r} contains non-finite values") from None
     return TrendFit(
-        slope_per_month=slope,
-        slope_per_decade=MONTHS_PER_DECADE * slope,
-        intercept=intercept,
-        n=n,
-        residuals=residuals,
-        r1=r1,
-        n_eff=n_eff,
-        se_slope=MONTHS_PER_DECADE * se_month,
-        df=df,
+        slope_per_month=float(b.slope_per_month[0]),
+        slope_per_decade=float(b.slope_per_decade[0]),
+        intercept=float(b.intercept[0]),
+        n=b.n,
+        residuals=b.residuals[0],
+        r1=float(b.r1[0]),
+        n_eff=float(b.n_eff[0]),
+        se_slope=float(b.se_slope[0]),
+        df=float(b.df[0]),
     )

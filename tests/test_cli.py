@@ -151,3 +151,46 @@ def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("simulate", "--phi", "x").returncode == 1
+
+
+def test_simulate_names_the_degenerate_replicate():
+    result = run_cli(
+        "simulate", "--phi", "0.95", "--n", "12", "--reps", "1000",
+        "--alpha", "0.05", "--seed", "3",
+    )
+    assert result.returncode == 2
+    assert "replicate 375 at true trend 0.0:" in result.stderr
+    assert "leaves no degrees of freedom" in result.stderr
+
+
+def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):
+    registry = (fixture_dir / "registry.ini").read_text(encoding="utf-8")
+    bad = tmp_path / "registry.ini"
+    bad.write_text(
+        registry.replace("path = ", f"path = {fixture_dir}/").replace(
+            "ensemble_trend = 0.215", "ensemble_trend = nan", 1
+        ),
+        encoding="utf-8",
+    )
+    result = run_cli("compare", "--registry", str(bad))
+    assert result.returncode == 1
+    assert "[comparison:sat_trend]" in result.stderr
+    assert "finite" in result.stderr
+
+
+def test_import_and_fit_load_no_scipy(fixture_dir):
+    probe = (
+        "import sys\n"
+        "import trendsig\n"
+        "from trendsig.cli import main\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        f"assert main(['fit', {str(fixture_dir / 'sat_a.csv')!r}]) == 0\n"
+        "assert main(['fit', 'no-such-file.csv']) == 1\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,9 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trendsig import Ar1Spec, EnsembleStats, MonthIndex, fit, generate, generate_batch
-from trendsig.errors import DomainError, InputError
+from trendsig import (
+    Ar1Spec,
+    EnsembleStats,
+    MonthIndex,
+    compare,
+    fit,
+    generate,
+    generate_batch,
+)
+from trendsig import mc
+from trendsig.errors import DomainError, EffectiveDfTooSmall, InputError
 from trendsig.mc import size_power, size_power_csv
+
+
+def lfilter_noise(spec, reps):
+    """The noise contract computed the way it used to be: one draw, then
+    scipy's IIR filter along each row."""
+    from scipy.signal import lfilter
+
+    innov = np.random.default_rng(spec.seed).standard_normal((reps, spec.n))
+    innov[:, 0] *= spec.sigma_innov / np.sqrt(1.0 - spec.phi**2)
+    innov[:, 1:] *= spec.sigma_innov
+    return lfilter([1.0], [1.0, -spec.phi], innov, axis=1)
+
+
+def noise_rows(spec, reps):
+    """Replicates of a zero-trend spec are its noise rows."""
+    return np.vstack([s.values for s in generate_batch(spec, reps)])
 
 
 class TestAr1Spec:
@@ -70,6 +97,17 @@ class TestGenerate:
         r1s = [fit(s).r1 for s in generate_batch(spec, 2000)]
         assert np.mean(r1s) == pytest.approx(0.6, abs=0.05)
 
+    @pytest.mark.parametrize("phi", [0.3, 0.6, -0.5, 0.95])
+    @pytest.mark.parametrize("chunk", [64, mc.CHUNK_ROWS])
+    def test_recursion_matches_lfilter_bit_for_bit(self, monkeypatch, phi, chunk):
+        monkeypatch.setattr(mc, "CHUNK_ROWS", chunk)
+        spec = Ar1Spec(phi, 0.1, 0.0, 60, seed=17)
+        reps = chunk + chunk // 2 + 1  # a partial last chunk
+        rows = noise_rows(spec, reps)
+        assert np.array_equal(rows, lfilter_noise(spec, reps))
+        # More replicates extend the batch and leave its first rows alone.
+        assert np.array_equal(noise_rows(spec, reps + chunk)[:reps], rows)
+
     def test_stationary_marginal_variance(self):
         """Long-run noise variance approaches sigma^2 / (1 - phi^2)."""
         spec = Ar1Spec(0.6, 0.1, 0.0, 50_000, seed=8)
@@ -108,6 +146,63 @@ class TestSizePower:
     def test_white_noise_size_is_near_nominal(self):
         result = size_power(self.null_spec(n=120), self.ens(), reps=2000, alpha=0.05)
         assert 0.02 <= result.size <= 0.09
+
+    def test_non_finite_ensemble_is_input_error(self):
+        with pytest.raises(InputError):
+            size_power(
+                self.null_spec(), EnsembleStats(float("nan"), 0.0, 19),
+                reps=1000, alpha=0.05,
+            )
+
+    def test_sided_domain(self):
+        with pytest.raises(InputError):
+            size_power(self.null_spec(), self.ens(), reps=1000, alpha=0.05, sided="both")
+
+    @pytest.mark.parametrize("sided", ["two", "one"])
+    def test_counts_match_the_scalar_pipeline(self, sided):
+        """Each rate equals fit + compare run replicate by replicate."""
+        spec = self.null_spec(n=60, phi=0.3)
+        ens = EnsembleStats(0.215, 0.05, 19)
+        gaps = [0.2, -0.5]
+        result = size_power(spec, ens, reps=1000, alpha=0.05, trend_gaps=gaps, sided=sided)
+        for gap, rate in [(0.0, result.size)] + result.power_curve:
+            shifted = Ar1Spec(spec.phi, spec.sigma_innov, ens.trend + gap, spec.n, spec.seed)
+            hits = sum(
+                compare(ens, fit(s)).p_value(sided) <= 0.05
+                for s in generate_batch(shifted, 1000)
+            )
+            assert rate == hits / 1000
+
+    def test_rates_do_not_depend_on_chunk_size(self, monkeypatch):
+        def run():
+            return size_power(
+                self.null_spec(n=48, phi=0.5), EnsembleStats(0.215, 0.05, 19),
+                reps=1000, alpha=0.1, trend_gaps=[0.3, 0.6],
+            )
+
+        reference = run()
+        for chunk in (7, 333):
+            monkeypatch.setattr(mc, "CHUNK_ROWS", chunk)
+            assert run() == reference
+
+    def test_degenerate_replicate_is_named(self):
+        spec = Ar1Spec(0.95, 0.1, 0.0, 12, seed=3)
+        with pytest.raises(EffectiveDfTooSmall, match="replicate 375 at true trend 0.0:"):
+            size_power(spec, EnsembleStats(0.0, 0.0, 1), reps=1000, alpha=0.05)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        """20 000 x 360 noise would take 57.6 MB in one matrix."""
+        spec = Ar1Spec(0.6, 0.1, 0.215, 360, seed=5)
+        # The first p-value imports scipy.special; keep its module objects
+        # out of the count.
+        size_power(spec, self.ens(), reps=1000, alpha=0.05)
+        tracemalloc.start()
+        try:
+            size_power(spec, self.ens(), reps=20_000, alpha=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 20_000 * 360 * 8
 
     def test_csv_layout(self):
         spec = self.null_spec()

@@ -20,6 +20,7 @@ from trendsig.errors import (
     NonFiniteInput,
     ZeroDenominator,
 )
+from trendsig.sigtest import p_values
 
 # Values computed before the implementation with a 50-digit quadrature of
 # the t density (see test_acceptance.py for the generator).
@@ -33,6 +34,14 @@ T_CDF_SPOTS = [
 
 
 class TestEnsembleStats:
+    @pytest.mark.parametrize(
+        "trend, spread",
+        [(math.nan, 0.1), (0.2, math.nan), (math.inf, 0.1), (0.2, math.inf)],
+    )
+    def test_rejects_non_finite_trend_or_spread(self, trend, spread):
+        with pytest.raises(InputError, match="finite"):
+            EnsembleStats(trend, spread, 19)
+
     def test_rejects_negative_spread(self):
         with pytest.raises(InputError):
             EnsembleStats(0.2, -0.1, 19)
@@ -198,3 +207,29 @@ class TestCompare:
         obs = fit(make_line("obs", 0.051))
         with pytest.raises(InputError):
             compare(EnsembleStats(0.215, 0.2, 19), obs, sided="twoo")
+
+
+class TestArrayForms:
+    def test_p_values_match_classify_elementwise(self):
+        d1 = np.array([-7.0, -2.34, -0.5, 0.0, 1.08, 2.42, 50.0])
+        df = np.array([88.6, 300.0, 1.0, 5.0, 30.0, 91.5, 1000.0])
+        cdf, p_two, p_one = p_values(d1, df)
+        for k in range(d1.size):
+            res = classify(float(d1[k]), float(df[k]))
+            assert 100.0 * cdf[k] == res.percentile
+            assert p_two[k] == res.p_two_sided
+            assert p_one[k] == res.p_one_sided
+            assert cdf[k] == t_cdf(float(d1[k]), float(df[k]))
+
+    def test_d1_star_on_arrays_matches_scalar(self):
+        ens = EnsembleStats(0.215, 0.092, 19)
+        trends = np.array([0.0, 0.1, 0.215, 0.4])
+        ses = np.array([0.05, 0.0, 0.1, 0.02])
+        got = d1_star(ens, trends, ses)
+        assert isinstance(d1_star(ens, 0.1, 0.05), float)
+        for k in range(trends.size):
+            assert got[k] == d1_star(ens, float(trends[k]), float(ses[k]))
+
+    def test_d1_star_array_zero_denominator(self):
+        with pytest.raises(ZeroDenominator):
+            d1_star(EnsembleStats(0.2, 0.0, 19), np.array([0.1, 0.2]), np.array([0.1, 0.0]))

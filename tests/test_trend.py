@@ -4,12 +4,20 @@ from conftest import make_line
 
 from trendsig import MonthIndex, MonthlySeries, effective_n, fit, lag1_autocorr
 from trendsig.errors import (
+    DegenerateDesign,
     DomainError,
     EffectiveDfTooSmall,
+    InputError,
     NonFiniteInput,
     TooFewPoints,
 )
-from trendsig.mc import Ar1Spec, generate
+from trendsig.mc import Ar1Spec, generate, generate_batch
+from trendsig.trend import fit_batch
+
+
+# One slow cosine period over 24 months: residual r1 ~ 0.88, so n_eff ~ 1.5
+# and the variance divisor would go nonpositive.
+WAVE = np.cos(2 * np.pi * np.arange(24) / 24)
 
 
 def ar1_series(phi, n, seed, sigma=0.1, trend=0.0):
@@ -101,16 +109,97 @@ class TestFit:
 
     def test_non_finite_values(self):
         s = MonthlySeries.from_start("x", MonthIndex(1979, 1), [1.0, np.nan, 2.0])
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match="series 'x'"):
             fit(s)
 
+    def test_residuals_read_only(self):
+        f = fit(ar1_series(0.3, 60, seed=3))
+        assert f.residuals.shape == (60,)
+        with pytest.raises(ValueError):
+            f.residuals[0] = 1.0
+
     def test_runaway_autocorrelation_raises(self):
-        # One slow cosine period over 24 months: residual r1 ~ 0.88, so
-        # n_eff ~ 1.5 and the variance divisor would go nonpositive.
-        values = np.cos(2 * np.pi * np.arange(24) / 24)
-        s = MonthlySeries.from_start("wave", MonthIndex(1979, 1), values)
+        s = MonthlySeries.from_start("wave", MonthIndex(1979, 1), WAVE)
         with pytest.raises(EffectiveDfTooSmall):
             fit(s)
+
+
+class TestFitBatch:
+    months = MonthIndex(1979, 1).ordinal + np.arange(24)
+
+    def test_rows_are_scalar_fits(self):
+        rng = np.random.default_rng(12)
+        gapped = np.sort(rng.choice(40, size=24, replace=False)) + 23750
+        rows = np.vstack([
+            rng.standard_normal(24),
+            0.003 * gapped + 0.5,  # exact line
+            np.full(24, 0.1),  # constant
+            0.01 * gapped + rng.standard_normal(24),
+        ])
+        batch = fit_batch(gapped, rows)
+        assert batch.n == 24
+        assert batch.residuals.shape == rows.shape
+        for k, row in enumerate(rows):
+            one = fit(MonthlySeries("r", gapped, row))
+            for field in ("slope_per_month", "slope_per_decade", "intercept",
+                          "r1", "n_eff", "se_slope", "df"):
+                assert getattr(batch, field)[k] == getattr(one, field), field
+            assert np.array_equal(batch.residuals[k], one.residuals)
+
+    def test_residuals_read_only(self):
+        batch = fit_batch(self.months, np.ones((2, 24)))
+        with pytest.raises(ValueError):
+            batch.residuals[0, 0] = 1.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InputError):
+            fit_batch(self.months, np.zeros((2, 23)))
+        with pytest.raises(InputError):
+            fit_batch(self.months, np.zeros(24))
+
+    def test_too_few_points_and_one_month(self):
+        with pytest.raises(TooFewPoints):
+            fit_batch(self.months[:2], np.zeros((3, 2)))
+        with pytest.raises(DegenerateDesign):
+            fit_batch(np.full(5, 23750), np.zeros((1, 5)))
+
+    def test_non_finite_row_is_named(self):
+        rows = np.zeros((4, 24))
+        rows[2, 5] = np.inf
+        rows[3, 0] = np.nan
+        with pytest.raises(NonFiniteInput) as info:
+            fit_batch(self.months, rows)
+        assert info.value.row == 2
+
+    def test_first_row_without_dof_is_named(self):
+        rows = np.vstack([np.arange(24.0), WAVE, np.arange(24.0), WAVE])
+        with pytest.raises(EffectiveDfTooSmall) as info:
+            fit_batch(self.months, rows)
+        assert info.value.row == 1
+        assert "leaves no degrees of freedom" in str(info.value)
+
+    def test_empty_batch(self):
+        batch = fit_batch(self.months, np.zeros((0, 24)))
+        assert batch.slope_per_decade.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "phi, trend, seed, n, window",
+        [(0.0, 0.0, 910, 360, 360), (0.3, 0.0, 911, 360, 360), (0.6, 0.0, 912, 360, 360),
+         (0.0, 0.215, 550, 360, 360), (0.3, 0.215, 551, 360, 360),
+         (0.6, 0.215, 552, 360, 360), (0.6, 0.04, 2026, 366, 366),
+         (0.6, 0.04, 2026, 366, 252)],
+    )
+    def test_matches_scalar_on_acceptance_seeds(self, phi, trend, seed, n, window):
+        """The specs of acceptance criteria 4, 5 and 8, the last also on its
+        252-month window: batched and scalar fits agree per replicate."""
+        series = generate_batch(Ar1Spec(phi, 0.1, trend, n, seed=seed), 1500)
+        months = series[0].months[:window]
+        batch = fit_batch(months, np.vstack([s.values[:window] for s in series]))
+        for k, s in enumerate(series):
+            one = fit(MonthlySeries(s.name, months, s.values[:window]))
+            for field in ("slope_per_decade", "se_slope", "r1", "n_eff", "df"):
+                got, want = getattr(batch, field)[k], getattr(one, field)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, field)
 
 
 class TestLag1Autocorr:
