@@ -22,7 +22,7 @@ from .ingest import (
     write_series,
 )
 from .mc import Ar1Spec, SizePower, generate, generate_batch, size_power
-from .report import TableRow, render, run_comparison
+from .report import TableRow, comparison_row, render, run_comparison, run_comparisons
 from .series import MonthIndex, MonthlySeries, align, difference, truncate
 from .sigtest import (
     EnsembleStats,
@@ -57,6 +57,7 @@ __all__ = [
     "align",
     "classify",
     "compare",
+    "comparison_row",
     "d1_star",
     "difference",
     "effective_n",
@@ -70,6 +71,7 @@ __all__ = [
     "read_series",
     "render",
     "run_comparison",
+    "run_comparisons",
     "significance_marks",
     "size_power",
     "t_cdf",

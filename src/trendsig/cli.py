@@ -19,10 +19,10 @@ import sys
 
 from .errors import ComputationError, InputError
 from .ingest import read_registry, read_series
-from .mc import Ar1Spec, size_power, size_power_csv
-from .report import TableRow, render, run_comparison
-from .series import MonthIndex, MonthlySeries, difference, truncate
-from .sigtest import EnsembleStats, compare
+from .mc import Ar1Spec, size_power
+from .report import comparison_row, render, run_comparisons, size_power_csv
+from .series import MonthIndex, truncate
+from .sigtest import EnsembleStats
 from .trend import fit
 
 __all__ = ["main"]
@@ -35,12 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _window(series: MonthlySeries, start: str | None, end: str | None) -> MonthlySeries:
-    if start is None and end is None:
-        return series
-    lo = MonthIndex.parse(start) if start is not None else series.first
-    hi = MonthIndex.parse(end) if end is not None else series.last
-    return truncate(series, lo, hi)
+def _window(args) -> tuple[MonthIndex | None, MonthIndex | None]:
+    """The ``--start``/``--end`` months; an absent flag leaves that end open."""
+    start = None if args.start is None else MonthIndex.parse(args.start)
+    end = None if args.end is None else MonthIndex.parse(args.end)
+    return start, end
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,7 +55,7 @@ def _gap_list(text: str) -> list[float]:
 
 
 def _cmd_fit(args) -> None:
-    series = _window(read_series(args.series), args.start, args.end)
+    series = truncate(read_series(args.series), *_window(args))
     result = fit(series)
     print(f"series: {series.name}")
     print(f"window: {series.first} to {series.last}")
@@ -78,31 +77,13 @@ def _cmd_compare(args) -> None:
                 f"registry {args.registry} has no comparison(s) {missing}"
             )
         comparisons = [by_id[s] for s in args.spec]
-    rows = [run_comparison(c, datasets) for c in comparisons]
-    print(render(rows, style=args.format), end="")
+    print(render(run_comparisons(comparisons, datasets), style=args.format), end="")
 
 
 def _cmd_lapse(args) -> None:
     surface = read_series(args.surface)
     troposphere = read_series(args.troposphere)
-    diff = _window(difference(surface, troposphere), args.start, args.end)
-    result = fit(diff)
-    ens = EnsembleStats(
-        trend=args.ensemble_trend,
-        inter_model_sd=args.ensemble_sd,
-        n_models=args.n_models,
-    )
-    verdict = compare(ens, result)
-    row = TableRow(
-        satellite=troposphere.name,
-        surface=surface.name,
-        ensemble_trend=ens.trend,
-        observed_trend=result.slope_per_decade,
-        d1=verdict.d1_star,
-        percentile=verdict.percentile,
-        marks_two_sided=verdict.marks_two_sided,
-        marks_one_sided=verdict.marks_one_sided,
-    )
+    row = comparison_row(troposphere, _ensemble(args), _window(args), surface)
     print(render([row], style=args.format), end="")
 
 
@@ -114,13 +95,8 @@ def _cmd_simulate(args) -> None:
         n=args.n,
         seed=args.seed,
     )
-    ens = EnsembleStats(
-        trend=args.ensemble_trend,
-        inter_model_sd=args.ensemble_sd,
-        n_models=args.n_models,
-    )
     result = size_power(
-        spec, ens, reps=args.reps, alpha=args.alpha, trend_gaps=args.trend_gaps
+        spec, _ensemble(args), args.reps, args.alpha, trend_gaps=args.trend_gaps
     )
     print(size_power_csv(spec, args.alpha, args.reps, result), end="")
 
@@ -147,6 +123,10 @@ def _add_ensemble_flags(parser: argparse.ArgumentParser, required: bool) -> None
         default=None if required else 1,
         help="number of models in the ensemble",
     )
+
+
+def _ensemble(args) -> EnsembleStats:
+    return EnsembleStats(args.ensemble_trend, args.ensemble_sd, args.n_models)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
 """Reading series files and the comparison registry.
 
-Series format: UTF-8 CSV with columns ``year,month,value``.  A header row
-is optional and detected by a non-numeric first field.  A value field of
-``NA`` or an empty field marks a missing month and the row is skipped.
-Months must appear in increasing order with no repeats.
+Series format: UTF-8 CSV with columns ``year,month,value``; a leading
+byte-order mark is ignored.  The first row is a header only if its first
+field does not parse as a number, so ``1979.0,1,0.1`` is a parse error.
+A value field of ``NA`` or an empty field marks a missing month and the
+row is skipped.  Months must appear in increasing order with no repeats.
 
 Registry format: an INI-style text file (human-diffable) with one section
 per dataset and per comparison::
@@ -100,17 +101,15 @@ class ComparisonSpec:
             )
 
 
-def read_series(path, format: str = "csv", name: str | None = None) -> MonthlySeries:
+def read_series(path, name: str | None = None) -> MonthlySeries:
     """Load a monthly series from a ``year,month,value`` CSV file.
 
     ``name`` defaults to the file stem.  Rows whose value field is ``NA``
     or empty are skipped.
     """
-    if format != "csv":
-        raise InputError(f"unsupported series format {format!r}")
     path = Path(path)
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        handle = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read series file {path}: {exc}") from exc
 
@@ -119,18 +118,17 @@ def read_series(path, format: str = "csv", name: str | None = None) -> MonthlySe
     last_ordinal: int | None = None
     with handle:
         reader = csv.reader(handle)
-        first_data_row_seen = False
+        first_row = True
         for row in reader:
             line = reader.line_num
             if not row or all(not f.strip() for f in row):
                 continue
-            if not first_data_row_seen:
+            if first_row:
+                first_row = False
                 try:
-                    int(row[0].strip())
+                    float(row[0])
                 except ValueError:
                     continue  # header row
-                finally:
-                    first_data_row_seen = True
             if len(row) != 3:
                 raise ParseError(
                     f"{path}, line {line}: expected 3 fields (year,month,value), "

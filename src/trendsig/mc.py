@@ -20,7 +20,6 @@ depend on execution order or on the chunk size.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,7 +39,6 @@ __all__ = [
     "generate",
     "generate_batch",
     "size_power",
-    "size_power_csv",
 ]
 
 
@@ -105,27 +103,17 @@ def _noise_chunks(spec: Ar1Spec, reps: int) -> Iterator[tuple[int, np.ndarray]]:
         yield first, y
 
 
-def _noise(spec: Ar1Spec, reps: int) -> np.ndarray:
-    """AR(1) noise for replicates ``0..reps-1``, one per row."""
-    return np.concatenate([y for _, y in _noise_chunks(spec, reps)])
-
-
-def _with_trend(spec: Ar1Spec, noise: np.ndarray) -> np.ndarray:
-    ramp = (spec.trend_per_decade / MONTHS_PER_DECADE) * np.arange(spec.n)
-    return noise + ramp
-
-
 def generate(spec: Ar1Spec) -> MonthlySeries:
-    """Generate replicate 0 of ``spec`` as a contiguous monthly series."""
-    values = _with_trend(spec, _noise(spec, 1))[0]
-    return MonthlySeries.from_start(f"ar1-seed{spec.seed}", spec.start, values)
+    """Generate replicate 0 of ``spec``: ``generate_batch(spec, 1)[0]``."""
+    return generate_batch(spec, 1)[0]
 
 
 def generate_batch(spec: Ar1Spec, reps: int) -> list[MonthlySeries]:
-    """Generate replicates ``0..reps-1`` of ``spec``."""
+    """Generate replicates ``0..reps-1`` of ``spec`` as contiguous series."""
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
-    values = _with_trend(spec, _noise(spec, reps))
+    ramp = (spec.trend_per_decade / MONTHS_PER_DECADE) * np.arange(spec.n)
+    values = np.concatenate([y for _, y in _noise_chunks(spec, reps)]) + ramp
     return [
         MonthlySeries.from_start(f"ar1-seed{spec.seed}-rep{k}", spec.start, row)
         for k, row in enumerate(values)
@@ -193,22 +181,3 @@ def size_power(
     rates = [r / reps for r in rejections]
     curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]
     return SizePower(size=rates[0], power_curve=curve)
-
-
-def size_power_csv(
-    null_spec: Ar1Spec, alpha: float, reps: int, result: SizePower
-) -> str:
-    """Render a size/power result as CSV.
-
-    Columns: ``phi,n,trend_gap,alpha,rejection_rate,reps,seed``.  The size
-    appears as the ``trend_gap = 0`` row, followed by the power curve.
-    """
-    buf = io.StringIO()
-    buf.write("phi,n,trend_gap,alpha,rejection_rate,reps,seed\n")
-    rows = [(0.0, result.size)] + list(result.power_curve)
-    for gap, rate in rows:
-        buf.write(
-            f"{null_spec.phi!r},{null_spec.n},{gap!r},{alpha!r},"
-            f"{rate!r},{reps},{null_spec.seed}\n"
-        )
-    return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Run registered comparisons end-to-end and render result tables.
+"""Run comparisons end-to-end and render result tables.
 
 A table row pairs an ensemble trend with an observed trend and the test
 verdict.  Rows referencing datasets without version notes are flagged
@@ -14,11 +14,22 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BadSpec, TrendSigError, UnknownDatasetId
 from .ingest import ComparisonSpec, DatasetEntry, read_series
-from .series import difference, truncate
-from .sigtest import compare
+from .mc import Ar1Spec, SizePower
+from .series import MonthIndex, MonthlySeries, difference, truncate
+from .sigtest import EnsembleStats, compare
 from .trend import fit
 
-__all__ = ["TableRow", "run_comparison", "render"]
+__all__ = [
+    "TableRow",
+    "comparison_row",
+    "render",
+    "run_comparison",
+    "run_comparisons",
+    "size_power_csv",
+]
+
+# Datasets by id, or a sequence of them.
+Registry = Mapping[str, DatasetEntry] | Iterable[DatasetEntry]
 
 _MARK_RANK = {"-": 0, "*": 1, "**": 2, "***": 3}
 
@@ -70,6 +81,34 @@ class TableRow:
         return self.satellite
 
 
+def comparison_row(
+    satellite: MonthlySeries,
+    ensemble: EnsembleStats,
+    window: tuple[MonthIndex | None, MonthIndex | None],
+    surface: MonthlySeries | None = None,
+    best_effort: bool = False,
+) -> TableRow:
+    """Test the trend of ``satellite``, or of ``surface`` minus ``satellite``.
+
+    The series is cut to ``window`` (``None`` leaves an end open), fitted and
+    compared with ``ensemble``.  The row is labelled with the series names.
+    """
+    target = satellite if surface is None else difference(surface, satellite)
+    trend_fit = fit(truncate(target, *window))
+    verdict = compare(ensemble, trend_fit)
+    return TableRow(
+        satellite=satellite.name,
+        surface=None if surface is None else surface.name,
+        ensemble_trend=ensemble.trend,
+        observed_trend=trend_fit.slope_per_decade,
+        d1=verdict.d1_star,
+        percentile=verdict.percentile,
+        marks_two_sided=verdict.marks_two_sided,
+        marks_one_sided=verdict.marks_one_sided,
+        best_effort=best_effort,
+    )
+
+
 def _entry_for(registry: Mapping[str, DatasetEntry], dataset_id: str) -> DatasetEntry:
     try:
         return registry[dataset_id]
@@ -77,46 +116,40 @@ def _entry_for(registry: Mapping[str, DatasetEntry], dataset_id: str) -> Dataset
         raise UnknownDatasetId(f"unknown dataset {dataset_id!r}") from None
 
 
-def run_comparison(
-    spec: ComparisonSpec,
-    registry: Mapping[str, DatasetEntry] | Iterable[DatasetEntry],
-) -> TableRow:
-    """Execute one comparison spec against its registered datasets.
+def run_comparisons(
+    specs: Iterable[ComparisonSpec], registry: Registry
+) -> list[TableRow]:
+    """Execute comparison specs against their registered datasets, in order.
 
-    Trend mode fits the satellite series over the window; lapse mode fits
-    the surface-minus-satellite difference series.  Errors from loading or
-    fitting are re-raised with the comparison id prefixed.
+    Each dataset file is read once per call, by the first spec that names
+    it.  Errors are re-raised with the comparison id prefixed.
     """
     if not isinstance(registry, Mapping):
         registry = {d.id: d for d in registry}
-    try:
-        sat_entry = _entry_for(registry, spec.satellite_id)
-        used = [sat_entry]
-        target = read_series(sat_entry.path, name=sat_entry.id)
-        surface_name = None
-        if spec.mode == "lapse":
-            surf_entry = _entry_for(registry, spec.surface_id)
-            used.append(surf_entry)
-            surf = read_series(surf_entry.path, name=surf_entry.id)
-            target = difference(surf, target)
-            surface_name = surf_entry.id
-        start, end = spec.window
-        trend_fit = fit(truncate(target, start, end))
-        verdict = compare(spec.ensemble, trend_fit)
-    except TrendSigError as exc:
-        raise type(exc)(f"{spec.spec_id}: {exc}") from exc
+    loaded: dict[str, MonthlySeries] = {}
+    rows = []
+    for spec in specs:
+        try:
+            entries = [_entry_for(registry, spec.satellite_id)]
+            if spec.mode == "lapse":
+                entries.append(_entry_for(registry, spec.surface_id))
+            for entry in entries:
+                if entry.id not in loaded:
+                    loaded[entry.id] = read_series(entry.path, name=entry.id)
+            satellite, *surface = (loaded[e.id] for e in entries)
+            best_effort = any(not e.notes for e in entries)
+            row = comparison_row(
+                satellite, spec.ensemble, spec.window, *surface, best_effort=best_effort
+            )
+        except TrendSigError as exc:
+            raise type(exc)(f"{spec.spec_id}: {exc}") from exc
+        rows.append(row)
+    return rows
 
-    return TableRow(
-        satellite=sat_entry.id,
-        surface=surface_name,
-        ensemble_trend=spec.ensemble.trend,
-        observed_trend=trend_fit.slope_per_decade,
-        d1=verdict.d1_star,
-        percentile=verdict.percentile,
-        marks_two_sided=verdict.marks_two_sided,
-        marks_one_sided=verdict.marks_one_sided,
-        best_effort=any(not e.notes for e in used),
-    )
+
+def run_comparison(spec: ComparisonSpec, registry: Registry) -> TableRow:
+    """Execute one comparison spec: the one-spec case of :func:`run_comparisons`."""
+    return run_comparisons([spec], registry)[0]
 
 
 def _fmt(value: float, decimals: int) -> str:
@@ -196,3 +229,22 @@ def render(rows: Sequence[TableRow], style: str = "text") -> str:
     if style == "csv":
         return _render_csv(rows)
     raise BadSpec(f"unknown render style {style!r}")
+
+
+def size_power_csv(
+    null_spec: Ar1Spec, alpha: float, reps: int, result: SizePower
+) -> str:
+    """Render a size/power result as CSV.
+
+    Columns: ``phi,n,trend_gap,alpha,rejection_rate,reps,seed``.  The size
+    appears as the ``trend_gap = 0`` row, followed by the power curve.
+    """
+    buf = io.StringIO()
+    buf.write("phi,n,trend_gap,alpha,rejection_rate,reps,seed\n")
+    rows = [(0.0, result.size)] + list(result.power_curve)
+    for gap, rate in rows:
+        buf.write(
+            f"{null_spec.phi!r},{null_spec.n},{gap!r},{alpha!r},"
+            f"{rate!r},{reps},{null_spec.seed}\n"
+        )
+    return buf.getvalue()

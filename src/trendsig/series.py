@@ -144,19 +144,19 @@ class MonthlySeries:
             for m, v in zip(self.months, self.values)
         ]
 
-    def rename(self, name: str) -> MonthlySeries:
-        return MonthlySeries(name, self.months, self.values)
 
-
-def truncate(s: MonthlySeries, start: MonthIndex, end: MonthIndex) -> MonthlySeries:
+def truncate(
+    s: MonthlySeries, start: MonthIndex | None, end: MonthIndex | None
+) -> MonthlySeries:
     """The points of ``s`` with start <= month <= end; the name is kept.
 
-    An empty result is not an error.  Idempotent for a fixed window.
+    ``None`` leaves that end of the window open.  An empty result is not an
+    error.  Idempotent for a fixed window.
     """
-    if start > end:
+    if start is not None and end is not None and start > end:
         raise BadWindow(f"window start {start} is after end {end}")
-    lo = int(np.searchsorted(s.months, start.ordinal, side="left"))
-    hi = int(np.searchsorted(s.months, end.ordinal, side="right"))
+    lo = 0 if start is None else int(np.searchsorted(s.months, start.ordinal))
+    hi = len(s) if end is None else int(np.searchsorted(s.months, end.ordinal, "right"))
     return MonthlySeries(s.name, s.months[lo:hi], s.values[lo:hi])
 
 

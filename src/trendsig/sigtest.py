@@ -169,15 +169,11 @@ def classify(d1: float, df: float) -> TestResult:
     )
 
 
-def compare(ens: EnsembleStats, obs: TrendFit, sided: str = "two") -> TestResult:
+def compare(ens: EnsembleStats, obs: TrendFit) -> TestResult:
     """Full comparison of a fitted observed trend against the ensemble.
 
     Degrees of freedom come from the observed fit (n_eff - 2).  Both
-    sidednesses are always populated on the result; ``sided`` names the
-    caller's declared alternative and is validated here so that a
-    misspelling fails early rather than at readout.
+    sidednesses are populated on the result.
     """
-    if sided not in SIDES:
-        raise InputError(f"sided must be 'one' or 'two', got {sided!r}")
     stat = d1_star(ens, obs.slope_per_decade, obs.se_slope)
     return classify(stat, obs.df)

@@ -2,6 +2,37 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from trendsig.cli import main
+
+PINNED_DIR = Path(__file__).parent / "data" / "cli"
+LAPSE_PAIR = ("--ensemble-trend", "-0.069", "--ensemble-sd", "0.05", "--n-models", "19")
+SURF_SAT = ("{d}/surf_a.csv", "{d}/sat_a.csv")
+
+# Full stdout of these runs on the conftest fixtures, by file name under
+# PINNED_DIR, recorded before `compare` and `lapse` shared one pipeline.
+# "{d}" stands for the fixture directory.
+PINNED = {
+    "compare.txt": ("compare", "--registry", "{d}/registry.ini"),
+    "compare.csv": ("compare", "--registry", "{d}/registry.ini", "--format", "csv"),
+    "compare_lapse_pair.csv": (
+        "compare", "--registry", "{d}/registry.ini",
+        "--spec", "lapse_pair", "--format", "csv",
+    ),
+    "lapse.txt": ("lapse", *SURF_SAT, *LAPSE_PAIR),
+    "lapse_start.csv": (
+        "lapse", *SURF_SAT, *LAPSE_PAIR, "--start", "1995:01", "--format", "csv"
+    ),
+    "lapse_end.csv": (
+        "lapse", *SURF_SAT, *LAPSE_PAIR, "--end", "1999:12", "--format", "csv"
+    ),
+    "fit_window.txt": (
+        "fit", "{d}/sat_a.csv", "--start", "1979:01", "--end", "1999:12"
+    ),
+}
 
 
 def run_cli(*args, cwd=None):
@@ -44,6 +75,35 @@ def test_fit_underdetermined_series_is_numerical_error(tmp_path):
     result = run_cli("fit", str(short))
     assert result.returncode == 2
     assert "error:" in result.stderr
+
+
+THREE_1979 = "1979,1,0.1\n1979,2,0.2\n1979,3,0.3\n"
+THREE_1990 = "1990,1,0.1\n1990,2,0.2\n1990,3,0.3\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        # a file with only a header row, cut at its end only
+        (
+            {"header_only.csv": "year,month,value\n"},
+            ("fit", "{d}/header_only.csv", "--end", "2000:01"),
+        ),
+        # two series without common months, cut at the start only
+        (
+            {"a.csv": THREE_1979, "b.csv": THREE_1990},
+            ("lapse", "{d}/a.csv", "{d}/b.csv", *LAPSE_PAIR, "--start", "1979:01"),
+        ),
+        # an open window that starts after the data ends
+        ({"a.csv": THREE_1979}, ("fit", "{d}/a.csv", "--start", "2020:01")),
+    ],
+)
+def test_empty_open_window_is_numerical_error(tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    result = run_cli(*(arg.format(d=tmp_path) for arg in argv))
+    assert result.returncode == 2
+    assert result.stderr == "error: trend fit needs at least 3 points, got 0\n"
 
 
 def test_compare_renders_all_registry_rows(fixture_dir):
@@ -194,3 +254,23 @@ def test_import_and_fit_load_no_scipy(fixture_dir):
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_output(fixture_dir, capsys, name):
+    assert main([arg.format(d=fixture_dir) for arg in PINNED[name]]) == 0
+    assert capsys.readouterr().out == (PINNED_DIR / name).read_text(encoding="utf-8")
+
+
+def test_lapse_matches_registry_lapse_row(fixture_dir, capsys):
+    surf_sat = [arg.format(d=fixture_dir) for arg in SURF_SAT]
+    window = ["--start", "1979:01", "--end", "2009:06"]
+    assert main(["lapse", *surf_sat, *LAPSE_PAIR, *window, "--format", "csv"]) == 0
+    lapse = capsys.readouterr().out.splitlines()[1].split(",")
+    argv = [arg.format(d=fixture_dir) for arg in PINNED["compare_lapse_pair.csv"]]
+    assert main(argv) == 0
+    registry = capsys.readouterr().out.splitlines()[1].split(",")
+    assert lapse[:2] == ["surf_a", "sat_a"]
+    assert registry[:2] == ["SURF_A", "SAT_A"]
+    # ensemble, observed, d1*, percentile, two- and one-sided marks
+    assert lapse[2:8] == registry[2:8]

@@ -117,10 +117,15 @@ class TestReadSeries:
         with pytest.raises(InputError, match="cannot read"):
             read_series(tmp_path / "absent.csv")
 
-    def test_unknown_format(self, tmp_path):
-        p = write(tmp_path, "1979,1,0.1\n")
-        with pytest.raises(InputError):
-            read_series(p, format="fixed-width")
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        text = "\ufeff1979,1,0.1\n1979,2,0.2\n1979,3,0.3\n1979,4,0.4\n"
+        s = read_series(write(tmp_path, text))
+        assert [m.month for m, _ in s.points] == [1, 2, 3, 4]
+
+    def test_numeric_first_row_is_data_not_header(self, tmp_path):
+        text = "1979.0,1,0.1\n1979,2,0.2\n1979,3,0.3\n"
+        with pytest.raises(ParseError, match="line 1: year and month must be integers"):
+            read_series(write(tmp_path, text))
 
     def test_full_window_truncates_to_252(self, tmp_path):
         lines = []

@@ -14,7 +14,8 @@ from trendsig import (
 )
 from trendsig import mc
 from trendsig.errors import DomainError, EffectiveDfTooSmall, InputError
-from trendsig.mc import size_power, size_power_csv
+from trendsig.mc import size_power
+from trendsig.report import size_power_csv
 
 
 def lfilter_noise(spec, reps):

@@ -21,6 +21,8 @@ from trendsig import (
     run_comparison,
     truncate,
 )
+from trendsig import report
+from trendsig.cli import main
 from trendsig.errors import (
     BadSpec,
     InputError,
@@ -236,6 +238,36 @@ class TestRunComparison:
         }
         with pytest.raises(TooFewPoints, match="narrow"):
             run_comparison(spec, registry)
+
+
+class TestRunComparisons:
+    def test_compare_reads_each_dataset_once(self, fixture_dir, monkeypatch):
+        reads = []
+        read_series = report.read_series
+
+        def counting(path, **kwargs):
+            reads.append(Path(path).name)
+            return read_series(path, **kwargs)
+
+        monkeypatch.setattr(report, "read_series", counting)
+        assert main(["compare", "--registry", str(fixture_dir / "registry.ini")]) == 0
+        # sat_a.csv is named by two of the three comparisons
+        assert sorted(reads) == ["line051.csv", "sat_a.csv", "surf_a.csv"]
+
+    def test_unreadable_dataset_reported_under_first_spec(self, fixture_dir):
+        registry = {"LINE": DatasetEntry("LINE", "satellite", fixture_dir / "no.csv")}
+        specs = [
+            ComparisonSpec(
+                spec_id=spec_id,
+                satellite_id="LINE",
+                ensemble=EnsembleStats(0.215, 0.2, 19),
+                window=WINDOW,
+                mode="trend",
+            )
+            for spec_id in ("first", "second")
+        ]
+        with pytest.raises(InputError, match="^first: cannot read series file"):
+            report.run_comparisons(specs, registry)
 
 
 class TestRender:

@@ -203,11 +203,6 @@ class TestCompare:
         with pytest.raises(ZeroDenominator):
             compare(EnsembleStats(0.215, 0.0, 19), obs)
 
-    def test_sided_validated_up_front(self):
-        obs = fit(make_line("obs", 0.051))
-        with pytest.raises(InputError):
-            compare(EnsembleStats(0.215, 0.2, 19), obs, sided="twoo")
-
 
 class TestArrayForms:
     def test_p_values_match_classify_elementwise(self):
