@@ -34,13 +34,12 @@ from .sigtest import (
     significance_marks,
     t_cdf,
 )
-from .trend import BatchFit, TrendFit, effective_n, fit, fit_batch, lag1_autocorr
+from .trend import TrendFit, effective_n, fit, fit_batch, lag1_autocorr
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ar1Spec",
-    "BatchFit",
     "ComparisonSpec",
     "ComputationError",
     "DatasetEntry",

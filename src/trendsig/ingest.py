@@ -156,13 +156,14 @@ def read_series(path, name: str | None = None) -> MonthlySeries:
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(f"{path}, line {line}: non-finite value {value_s!r}")
+            ordinal = idx.ordinal
             if last_ordinal is not None:
-                if idx.ordinal == last_ordinal:
+                if ordinal == last_ordinal:
                     raise DuplicateMonth(f"{path}, line {line}: month {idx} repeated")
-                if idx.ordinal < last_ordinal:
+                if ordinal < last_ordinal:
                     raise ParseError(f"{path}, line {line}: months out of order")
-            last_ordinal = idx.ordinal
-            months.append(idx.ordinal)
+            last_ordinal = ordinal
+            months.append(ordinal)
             values.append(value)
 
     return MonthlySeries(name if name is not None else path.stem, months, values)

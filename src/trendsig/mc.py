@@ -4,7 +4,8 @@ Attaining nominal rejection rates on autocorrelated noise is the whole
 point of the adjusted test, so this module generates series whose noise
 follows ``e[t] = phi * e[t-1] + eps[t]`` with Gaussian innovations and a
 stationary start (``e[0]`` drawn with variance ``sigma^2 / (1 - phi^2)``),
-then runs the fit-and-compare pipeline over many replicates.
+then runs the fit-and-compare pipeline over many replicates and counts
+those whose two-sided p-value is at most ``alpha``.
 
 Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
 :func:`size_power` fits and classifies each chunk at once through
@@ -20,6 +21,7 @@ depend on execution order or on the chunk size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ComputationError, DomainError, InputError
 from .series import MonthIndex, MonthlySeries
-from .sigtest import SIDES, EnsembleStats, d1_star, p_values
+from .sigtest import EnsembleStats, d1_star, p_values
 
 # ``fit`` is unused here, but perfbench's tracer and its tests patch
 # trendsig.mc.fit, so the name must exist.
@@ -72,8 +74,14 @@ class Ar1Spec:
     def __post_init__(self) -> None:
         if not abs(self.phi) < 1.0:
             raise DomainError(f"phi must satisfy |phi| < 1, got {self.phi}")
-        if self.sigma_innov < 0.0:
-            raise DomainError(f"sigma_innov must be >= 0, got {self.sigma_innov}")
+        if not 0.0 <= self.sigma_innov < math.inf:
+            raise DomainError(
+                f"sigma_innov must be finite and >= 0, got {self.sigma_innov}"
+            )
+        if not math.isfinite(self.trend_per_decade):
+            raise DomainError(
+                f"trend_per_decade must be finite, got {self.trend_per_decade}"
+            )
         if self.n < 3:
             raise DomainError(f"need n >= 3 months, got {self.n}")
 
@@ -133,7 +141,6 @@ def size_power(
     reps: int,
     alpha: float,
     trend_gaps: Sequence[float] = (),
-    sided: str = "two",
 ) -> SizePower:
     """Estimate empirical size and power of the comparison test.
 
@@ -143,7 +150,7 @@ def size_power(
     contributes one ``(gap, rejection rate)`` pair to the power curve.
     The same noise rows are reused across trend values, so a gap of 0
     reproduces the size exactly.  A replicate is rejected when its
-    ``sided`` p-value is at most ``alpha``.
+    two-sided p-value is at most ``alpha``.
 
     A replicate that cannot be fitted (for example one whose residuals
     leave no effective degrees of freedom) aborts the study with the
@@ -154,8 +161,8 @@ def size_power(
         raise InputError(f"need at least 1000 replicates for stable rates, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    if sided not in SIDES:
-        raise InputError(f"sided must be 'one' or 'two', got {sided!r}")
+    if not all(math.isfinite(g) for g in trend_gaps):
+        raise InputError(f"trend gaps must be finite, got {list(trend_gaps)}")
 
     n = null_spec.n
     months = null_spec.start.ordinal + np.arange(n)
@@ -172,11 +179,8 @@ def size_power(
                 raise type(exc)(
                     f"replicate {first + exc.row} at true trend {true_trend!r}: {exc}"
                 ) from exc
-            _, p_two, p_one = p_values(
-                d1_star(ens, f.slope_per_decade, f.se_slope), f.df
-            )
-            p = p_two if sided == "two" else p_one
-            rejections[j] += int(np.count_nonzero(p <= alpha))
+            _, p_two, _ = p_values(d1_star(ens, f.slope_per_decade, f.se_slope), f.df)
+            rejections[j] += int(np.count_nonzero(p_two <= alpha))
 
     rates = [r / reps for r in rejections]
     curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]

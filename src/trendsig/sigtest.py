@@ -27,8 +27,6 @@ import numpy as np
 from .errors import DomainError, InputError, NonFiniteInput, ZeroDenominator
 from .trend import TrendFit
 
-SIDES = ("one", "two")
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -76,11 +74,6 @@ class TestResult:
     p_one_sided: float
     marks_two_sided: str
     marks_one_sided: str
-
-    def p_value(self, sided: str = "two") -> float:
-        if sided not in SIDES:
-            raise InputError(f"sided must be 'one' or 'two', got {sided!r}")
-        return self.p_two_sided if sided == "two" else self.p_one_sided
 
 
 def d1_star(

@@ -16,13 +16,14 @@ with the slope and its standard error reported in deg C per decade
 (120 months).
 
 :func:`fit_batch` applies all of this row by row to a matrix of series on
-one month axis; :func:`fit` is its one-row case, so a row of a batch gets
-exactly the numbers a single fit of that row gets.
+one month axis and returns a :class:`TrendFit` of per-row arrays;
+:func:`fit` is its one-row case, so a row of a batch gets exactly the
+numbers a single fit of that row gets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,6 +49,11 @@ _EXACT_FIT_RATIO = 1e-24
 class TrendFit:
     """OLS trend of a monthly series with AR1-adjusted uncertainty.
 
+    :func:`fit` fills the float fields with Python floats.  From
+    :func:`fit_batch` each float field is an array with one entry per input
+    row, ``residuals`` has the input's ``(rows, n)`` shape and is
+    read-only, and ``n`` is shared by all rows.
+
     Attributes
     ----------
     slope_per_month : float
@@ -70,15 +76,15 @@ class TrendFit:
         Degrees of freedom for inference, n_eff - 2.
     """
 
-    slope_per_month: float
-    slope_per_decade: float
-    intercept: float
+    slope_per_month: float | np.ndarray
+    slope_per_decade: float | np.ndarray
+    intercept: float | np.ndarray
     n: int
     residuals: np.ndarray
-    r1: float
-    n_eff: float
-    se_slope: float
-    df: float
+    r1: float | np.ndarray
+    n_eff: float | np.ndarray
+    se_slope: float | np.ndarray
+    df: float | np.ndarray
 
 
 def _lag1_rows(e: np.ndarray) -> np.ndarray:
@@ -121,27 +127,7 @@ def _effective_n(n: int, r1):
     return np.minimum((n * (1.0 - r1)) / (1.0 + r1), float(n))
 
 
-@dataclass(frozen=True, eq=False)
-class BatchFit:
-    """Row-wise trends from :func:`fit_batch`.
-
-    Each field means what the same-named :class:`TrendFit` field means and
-    holds one entry per input row; ``residuals`` has the input's
-    ``(rows, n)`` shape and is read-only, and ``n`` is shared by all rows.
-    """
-
-    slope_per_month: np.ndarray
-    slope_per_decade: np.ndarray
-    intercept: np.ndarray
-    n: int
-    residuals: np.ndarray
-    r1: np.ndarray
-    n_eff: np.ndarray
-    se_slope: np.ndarray
-    df: np.ndarray
-
-
-def fit_batch(months, values) -> BatchFit:
+def fit_batch(months, values) -> TrendFit:
     """Least-squares trends of many series that share one month axis.
 
     Parameters
@@ -154,7 +140,8 @@ def fit_batch(months, values) -> BatchFit:
 
     Returns
     -------
-    BatchFit
+    TrendFit
+        One array entry per row.
 
     Raises
     ------
@@ -211,7 +198,7 @@ def fit_batch(months, values) -> BatchFit:
         )
     se_month = np.sqrt(ss_res / df / sxx)
 
-    return BatchFit(
+    return TrendFit(
         slope_per_month=slope,
         slope_per_decade=MONTHS_PER_DECADE * slope,
         intercept=intercept,
@@ -246,14 +233,9 @@ def fit(s: MonthlySeries) -> TrendFit:
         b = fit_batch(s.months, s.values.reshape(1, -1))
     except NonFiniteInput:
         raise NonFiniteInput(f"series {s.name!r} contains non-finite values") from None
-    return TrendFit(
-        slope_per_month=float(b.slope_per_month[0]),
-        slope_per_decade=float(b.slope_per_decade[0]),
-        intercept=float(b.intercept[0]),
-        n=b.n,
-        residuals=b.residuals[0],
-        r1=float(b.r1[0]),
-        n_eff=float(b.n_eff[0]),
-        se_slope=float(b.se_slope[0]),
-        df=float(b.df[0]),
-    )
+    scalars = {
+        f.name: float(getattr(b, f.name)[0])
+        for f in fields(TrendFit)
+        if f.name not in ("n", "residuals")
+    }
+    return replace(b, residuals=b.residuals[0], **scalars)

@@ -223,6 +223,25 @@ def test_simulate_names_the_degenerate_replicate():
     assert "leaves no degrees of freedom" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [
+        ("--sigma", "nan", 2, "sigma_innov must be finite and >= 0, got nan"),
+        ("--sigma", "inf", 2, "sigma_innov must be finite and >= 0, got inf"),
+        ("--trend-gaps", "nan", 1, "trend gaps must be finite, got [nan]"),
+        ("--trend-gaps", "0.1,inf", 1, "trend gaps must be finite, got [0.1, inf]"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "gaps-nan", "gaps-inf"],
+)
+def test_simulate_rejects_non_finite_inputs_up_front(flag, value, code, message):
+    result = run_cli(
+        "simulate", "--phi", "0.5", "--n", "60", "--reps", "1000",
+        "--alpha", "0.05", "--seed", "1", flag, value,
+    )
+    assert result.returncode == code
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):
     registry = (fixture_dir / "registry.ini").read_text(encoding="utf-8")
     bad = tmp_path / "registry.ini"

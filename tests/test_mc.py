@@ -41,8 +41,14 @@ class TestAr1Spec:
             Ar1Spec(phi, 0.1, 0.0, 100, seed=1)
 
     def test_sigma_domain(self):
-        with pytest.raises(DomainError):
-            Ar1Spec(0.5, -0.1, 0.0, 100, seed=1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="sigma_innov"):
+                Ar1Spec(0.5, sigma, 0.0, 100, seed=1)
+
+    @pytest.mark.parametrize("trend", [float("nan"), float("inf"), float("-inf")])
+    def test_trend_must_be_finite(self, trend):
+        with pytest.raises(DomainError, match="trend_per_decade"):
+            Ar1Spec(0.5, 0.1, trend, 100, seed=1)
 
     def test_minimum_length(self):
         with pytest.raises(DomainError):
@@ -132,6 +138,13 @@ class TestSizePower:
         with pytest.raises(InputError):
             size_power(self.null_spec(), self.ens(), reps=1000, alpha=1.5)
 
+    @pytest.mark.parametrize("gaps", [[float("nan")], [0.1, float("inf")]])
+    def test_gaps_must_be_finite(self, gaps):
+        with pytest.raises(InputError, match="trend gaps must be finite"):
+            size_power(
+                self.null_spec(), self.ens(), reps=1000, alpha=0.05, trend_gaps=gaps
+            )
+
     def test_gap_zero_reproduces_size_exactly(self):
         result = size_power(
             self.null_spec(), self.ens(), reps=1000, alpha=0.05, trend_gaps=[0.0, 0.5]
@@ -155,21 +168,16 @@ class TestSizePower:
                 reps=1000, alpha=0.05,
             )
 
-    def test_sided_domain(self):
-        with pytest.raises(InputError):
-            size_power(self.null_spec(), self.ens(), reps=1000, alpha=0.05, sided="both")
-
-    @pytest.mark.parametrize("sided", ["two", "one"])
-    def test_counts_match_the_scalar_pipeline(self, sided):
+    def test_counts_match_the_scalar_pipeline(self):
         """Each rate equals fit + compare run replicate by replicate."""
         spec = self.null_spec(n=60, phi=0.3)
         ens = EnsembleStats(0.215, 0.05, 19)
         gaps = [0.2, -0.5]
-        result = size_power(spec, ens, reps=1000, alpha=0.05, trend_gaps=gaps, sided=sided)
+        result = size_power(spec, ens, reps=1000, alpha=0.05, trend_gaps=gaps)
         for gap, rate in [(0.0, result.size)] + result.power_curve:
             shifted = Ar1Spec(spec.phi, spec.sigma_innov, ens.trend + gap, spec.n, spec.seed)
             hits = sum(
-                compare(ens, fit(s)).p_value(sided) <= 0.05
+                compare(ens, fit(s)).p_two_sided <= 0.05
                 for s in generate_batch(shifted, 1000)
             )
             assert rate == hits / 1000

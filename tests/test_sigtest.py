@@ -169,13 +169,6 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(1.0, 0.0)
 
-    def test_p_value_accessor(self):
-        res = classify(1.5, 20.0)
-        assert res.p_value("two") == res.p_two_sided
-        assert res.p_value("one") == res.p_one_sided
-        with pytest.raises(InputError):
-            res.p_value("both")
-
 
 class TestCompare:
     def test_composes_d1_star_and_classify(self):

@@ -12,7 +12,7 @@ from trendsig.errors import (
     TooFewPoints,
 )
 from trendsig.mc import Ar1Spec, generate, generate_batch
-from trendsig.trend import fit_batch
+from trendsig.trend import TrendFit, fit_batch
 
 
 # One slow cosine period over 24 months: residual r1 ~ 0.88, so n_eff ~ 1.5
@@ -137,12 +137,15 @@ class TestFitBatch:
             0.01 * gapped + rng.standard_normal(24),
         ])
         batch = fit_batch(gapped, rows)
+        assert type(batch) is TrendFit
         assert batch.n == 24
         assert batch.residuals.shape == rows.shape
         for k, row in enumerate(rows):
             one = fit(MonthlySeries("r", gapped, row))
+            assert type(one.n) is int
             for field in ("slope_per_month", "slope_per_decade", "intercept",
                           "r1", "n_eff", "se_slope", "df"):
+                assert type(getattr(one, field)) is float, field
                 assert getattr(batch, field)[k] == getattr(one, field), field
             assert np.array_equal(batch.residuals[k], one.residuals)
 
