@@ -27,7 +27,6 @@ from .series import MonthIndex, MonthlySeries, align, difference, truncate
 from .sigtest import (
     EnsembleStats,
     TestResult,
-    classify,
     compare,
     d1_star,
     p_values,
@@ -54,7 +53,6 @@ __all__ = [
     "TrendFit",
     "TrendSigError",
     "align",
-    "classify",
     "compare",
     "comparison_row",
     "d1_star",

@@ -25,11 +25,16 @@ per dataset and per comparison::
 
 Loading is schema-only: dataset files are not opened, and windows are not
 checked against data coverage until a comparison actually runs.
+
+Both kinds of file are read as UTF-8 with an optional byte-order mark.
+Bytes that do not decode, or a CSV field the ``csv`` module cannot read,
+raise :class:`~trendsig.errors.ParseError` naming the file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
@@ -101,6 +106,19 @@ class ComparisonSpec:
             )
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_series(path, name: str | None = None) -> MonthlySeries:
     """Load a monthly series from a ``year,month,value`` CSV file.
 
@@ -108,17 +126,12 @@ def read_series(path, name: str | None = None) -> MonthlySeries:
     or empty are skipped.
     """
     path = Path(path)
-    try:
-        handle = path.open(newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise InputError(f"cannot read series file {path}: {exc}") from exc
-
+    reader = csv.reader(io.StringIO(_read_text(path, "series"), newline=""))
     months: list[int] = []
     values: list[float] = []
     last_ordinal: int | None = None
-    with handle:
-        reader = csv.reader(handle)
-        first_row = True
+    first_row = True
+    try:
         for row in reader:
             line = reader.line_num
             if not row or all(not f.strip() for f in row):
@@ -165,6 +178,8 @@ def read_series(path, name: str | None = None) -> MonthlySeries:
             last_ordinal = ordinal
             months.append(ordinal)
             values.append(value)
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 
     return MonthlySeries(name if name is not None else path.stem, months, values)
 
@@ -190,11 +205,7 @@ def read_registry(path) -> tuple[list[DatasetEntry], list[ComparisonSpec]]:
     dataset ids must resolve; dataset files themselves are not opened.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read registry file {path}: {exc}") from exc
-
+    text = _read_text(path, "registry")
     parser = ConfigParser(interpolation=None, delimiters=("=",))
     try:
         parser.read_string(text, source=str(path))

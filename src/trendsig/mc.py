@@ -8,8 +8,9 @@ then runs the fit-and-compare pipeline over many replicates and counts
 those whose two-sided p-value is at most ``alpha``.
 
 Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
-:func:`size_power` fits and classifies each chunk at once through
-:func:`~trendsig.trend.fit_batch` and :func:`~trendsig.sigtest.p_values`.
+:func:`size_power` fits and tests each chunk at once through
+:func:`~trendsig.trend.fit_batch` and :func:`~trendsig.sigtest.compare`,
+the same functions that test a single observed series.
 Its working memory is therefore a few ``CHUNK_ROWS x n`` float matrices
 (about 3 MB each at n = 360), whatever the replicate count.
 
@@ -27,9 +28,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, InputError
+from .errors import ComputationError, InputError
 from .series import MonthIndex, MonthlySeries
-from .sigtest import EnsembleStats, d1_star, p_values
+from .sigtest import EnsembleStats, compare
 
 # ``fit`` is unused here, but perfbench's tracer and its tests patch
 # trendsig.mc.fit, so the name must exist.
@@ -73,17 +74,17 @@ class Ar1Spec:
 
     def __post_init__(self) -> None:
         if not abs(self.phi) < 1.0:
-            raise DomainError(f"phi must satisfy |phi| < 1, got {self.phi}")
+            raise InputError(f"phi must satisfy |phi| < 1, got {self.phi}")
         if not 0.0 <= self.sigma_innov < math.inf:
-            raise DomainError(
+            raise InputError(
                 f"sigma_innov must be finite and >= 0, got {self.sigma_innov}"
             )
         if not math.isfinite(self.trend_per_decade):
-            raise DomainError(
+            raise InputError(
                 f"trend_per_decade must be finite, got {self.trend_per_decade}"
             )
         if self.n < 3:
-            raise DomainError(f"need n >= 3 months, got {self.n}")
+            raise InputError(f"need n >= 3 months, got {self.n}")
 
 
 # Replicates generated and evaluated together: bounds size_power's memory.
@@ -179,8 +180,7 @@ def size_power(
                 raise type(exc)(
                     f"replicate {first + exc.row} at true trend {true_trend!r}: {exc}"
                 ) from exc
-            _, p_two, _ = p_values(d1_star(ens, f.slope_per_decade, f.se_slope), f.df)
-            rejections[j] += int(np.count_nonzero(p_two <= alpha))
+            rejections[j] += int(np.count_nonzero(compare(ens, f).p_two_sided <= alpha))
 
     rates = [r / reps for r in rejections]
     curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]

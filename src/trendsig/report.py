@@ -16,7 +16,7 @@ from .errors import BadSpec, TrendSigError, UnknownDatasetId
 from .ingest import ComparisonSpec, DatasetEntry, read_series
 from .mc import Ar1Spec, SizePower
 from .series import MonthIndex, MonthlySeries, difference, truncate
-from .sigtest import EnsembleStats, compare
+from .sigtest import EnsembleStats, compare, significance_marks
 from .trend import fit
 
 __all__ = [
@@ -103,8 +103,8 @@ def comparison_row(
         observed_trend=trend_fit.slope_per_decade,
         d1=verdict.d1_star,
         percentile=verdict.percentile,
-        marks_two_sided=verdict.marks_two_sided,
-        marks_one_sided=verdict.marks_one_sided,
+        marks_two_sided=significance_marks(verdict.p_two_sided),
+        marks_one_sided=significance_marks(verdict.p_one_sided),
         best_effort=best_effort,
     )
 

@@ -8,13 +8,14 @@ with the scaled inter-model spread:
 
 It is referred to a Student-t distribution whose degrees of freedom come
 from the observed series (n_eff - 2).  Results report the t-CDF
-percentile, one- and two-sided p-values, and asterisk marks at the 10, 5
-and 1 percent levels.
+percentile and one- and two-sided p-values; :func:`significance_marks`
+turns a p-value into asterisks at the 10, 5 and 1 percent levels.
 
-:func:`d1_star` and :func:`p_values` also work elementwise on arrays, which
-is how the Monte Carlo study classifies many replicates at once; the scalar
-functions are their one-element case.  ``scipy.special`` is imported only
-when a CDF is first evaluated, so importing the package stays cheap.
+:func:`d1_star`, :func:`p_values` and :func:`compare` work elementwise on
+arrays, which is how the Monte Carlo study tests many replicates at once;
+a single series is their one-element case, and :func:`t_cdf` is the
+scalar CDF of :func:`p_values`.  ``scipy.special`` is imported only when
+a CDF is first evaluated, so importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -60,20 +61,23 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one trend comparison.
+    """Outcome of a trend comparison.
+
+    :func:`compare` of a :class:`~trendsig.trend.TrendFit` from
+    :func:`~trendsig.trend.fit` fills every field with a Python float.  Of
+    a fit from :func:`~trendsig.trend.fit_batch`, each field is an array
+    with one entry per row.
 
     ``percentile`` is 100 times the t-CDF at the signed statistic, so
-    negative statistics land below 50.  Marks follow the inclusive
-    thresholds of :func:`significance_marks`.
+    negative statistics land below 50.  Significance marks are left to
+    display code, through :func:`significance_marks`.
     """
 
-    d1_star: float
-    df: float
-    percentile: float
-    p_two_sided: float
-    p_one_sided: float
-    marks_two_sided: str
-    marks_one_sided: str
+    d1_star: float | np.ndarray
+    df: float | np.ndarray
+    percentile: float | np.ndarray
+    p_two_sided: float | np.ndarray
+    p_one_sided: float | np.ndarray
 
 
 def d1_star(
@@ -101,9 +105,20 @@ def p_values(
     CDF = 1 - I_w(df/2, 1/2) / 2 with w = df / (df + x^2), and the
     mirror image for x < 0.  The two-sided p-value is 2 * min(CDF, 1 - CDF);
     the one-sided alternative is "trends differ in the direction observed",
-    i.e. half the two-sided value.  Inputs are not validated: ``d1`` must be
-    finite and ``df`` positive.
+    i.e. half the two-sided value.
+
+    Raises
+    ------
+    NonFiniteInput
+        A statistic is not finite; checked first.
+    DomainError
+        A ``df`` entry is not positive.
     """
+    d1, df = np.asarray(d1, dtype=np.float64), np.asarray(df, dtype=np.float64)
+    if not np.isfinite(d1).all():
+        raise NonFiniteInput(f"x must be finite, got {d1[~np.isfinite(d1)][0]}")
+    if not (df > 0).all():
+        raise DomainError(f"degrees of freedom must be positive, got {df.min()}")
     from scipy.special import betainc
 
     w = df / (df + d1 * d1)
@@ -119,17 +134,7 @@ def t_cdf(x: float, df: float) -> float:
     The scalar case of :func:`p_values`.  Absolute error is well inside
     1e-10 over df in [1, 1000], |x| <= 50.
     """
-    return _scalar_p_values(x, df)[0]
-
-
-def _scalar_p_values(x: float, df: float) -> tuple[float, float, float]:
-    """:func:`p_values` of one statistic, with its arguments checked."""
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"x must be finite, got {x}")
-    if not df > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
-    cdf, p_two, p_one = p_values(x, df)
-    return float(cdf), float(p_two), float(p_one)
+    return float(p_values(x, df)[0])
 
 
 def significance_marks(p: float) -> str:
@@ -145,28 +150,15 @@ def significance_marks(p: float) -> str:
     return "-"
 
 
-def classify(d1: float, df: float) -> TestResult:
-    """P-values, percentile and marks for a statistic under Student-t(df).
-
-    The scalar case of :func:`p_values`.
-    """
-    cdf, p_two, p_one = _scalar_p_values(d1, df)
-    return TestResult(
-        d1_star=d1,
-        df=df,
-        percentile=100.0 * cdf,
-        p_two_sided=p_two,
-        p_one_sided=p_one,
-        marks_two_sided=significance_marks(p_two),
-        marks_one_sided=significance_marks(p_one),
-    )
-
-
 def compare(ens: EnsembleStats, obs: TrendFit) -> TestResult:
     """Full comparison of a fitted observed trend against the ensemble.
 
-    Degrees of freedom come from the observed fit (n_eff - 2).  Both
-    sidednesses are populated on the result.
+    Degrees of freedom come from the observed fit (n_eff - 2).  A fit of
+    one series gives float fields; a batch fit gives one entry per row.
     """
     stat = d1_star(ens, obs.slope_per_decade, obs.se_slope)
-    return classify(stat, obs.df)
+    cdf, p_two, p_one = p_values(stat, obs.df)
+    values = (stat, obs.df, 100.0 * cdf, p_two, p_one)
+    if np.ndim(stat) == 0:
+        values = map(float, values)
+    return TestResult(*values)

@@ -18,7 +18,9 @@ with the slope and its standard error reported in deg C per decade
 :func:`fit_batch` applies all of this row by row to a matrix of series on
 one month axis and returns a :class:`TrendFit` of per-row arrays;
 :func:`fit` is its one-row case, so a row of a batch gets exactly the
-numbers a single fit of that row gets.
+numbers a single fit of that row gets.  :func:`lag1_autocorr` and
+:func:`effective_n` work the same way: a 1-D sequence or a scalar r1 gives
+a float, and the batch fit calls them on whole arrays.
 """
 
 from __future__ import annotations
@@ -87,44 +89,40 @@ class TrendFit:
     df: float | np.ndarray
 
 
-def _lag1_rows(e: np.ndarray) -> np.ndarray:
-    """Row-wise lag-1 autocorrelation; 0 for a constant row."""
-    c = e - e.sum(axis=1, keepdims=True) / e.shape[1]
-    denom = np.vecdot(c, c)
-    # A constant row has c == 0, so its numerator is 0 as well.
-    denom[denom == 0.0] = 1.0
-    return np.vecdot(c[:, :-1], c[:, 1:]) / denom
-
-
-def lag1_autocorr(residuals) -> float:
-    """Lag-1 sample autocorrelation of a residual sequence.
+def lag1_autocorr(residuals) -> float | np.ndarray:
+    """Lag-1 sample autocorrelation of residual sequences, along the last axis.
 
     Adjacent-in-sequence pairing: sum over e[t]*e[t+1] of mean-removed
     residuals divided by the full sum of squares.  Returns 0 when the
-    residuals are constant (zero-variance convention).
+    residuals are constant (zero-variance convention).  A 1-D sequence
+    gives a float; a ``(rows, n)`` matrix gives one value per row.
     """
     e = np.asarray(residuals, dtype=np.float64)
-    if e.size < 2:
-        raise TooFewPoints(f"lag-1 autocorrelation needs at least 2 values, got {e.size}")
-    return float(_lag1_rows(e.reshape(1, -1))[0])
+    n = e.shape[-1] if e.ndim else 1
+    if n < 2:
+        raise TooFewPoints(f"lag-1 autocorrelation needs at least 2 values, got {n}")
+    c = e - e.sum(axis=-1, keepdims=True) / n
+    denom = np.vecdot(c, c)
+    # A constant row has c == 0, so its numerator is 0 as well.
+    r1 = np.vecdot(c[..., :-1], c[..., 1:]) / np.where(denom == 0.0, 1.0, denom)
+    return float(r1) if r1.ndim == 0 else r1
 
 
-def effective_n(n: int, r1: float) -> float:
+def effective_n(n: int, r1: float | np.ndarray) -> float | np.ndarray:
     """Effective sample size n * (1 - r1) / (1 + r1), clamped to at most n.
 
     Negative r1 would report more information than the sample holds; the
-    clamp keeps n_eff <= n.
+    clamp keeps n_eff <= n.  Elementwise over an array of r1; a scalar r1
+    gives a float.
     """
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
-    if not -1.0 < r1 < 1.0:
-        raise DomainError(f"r1 must lie in (-1, 1), got {r1}")
-    return float(_effective_n(n, r1))
-
-
-def _effective_n(n: int, r1):
-    """The clamped n_eff formula without argument checks, elementwise."""
-    return np.minimum((n * (1.0 - r1)) / (1.0 + r1), float(n))
+    r1 = np.asarray(r1)
+    outside = ~((-1.0 < r1) & (r1 < 1.0))
+    if outside.any():
+        raise DomainError(f"r1 must lie in (-1, 1), got {r1[outside][0]}")
+    n_eff = np.minimum((n * (1.0 - r1)) / (1.0 + r1), float(n))
+    return float(n_eff) if n_eff.ndim == 0 else n_eff
 
 
 def fit_batch(months, values) -> TrendFit:
@@ -183,11 +181,11 @@ def fit_batch(months, values) -> TrendFit:
     ss_tot = np.vecdot(yc, yc)
     # Rounding can push a near-perfect correlation onto the boundary;
     # nudge it back inside the open interval.
-    r1 = np.clip(_lag1_rows(residuals), -1.0 + 1e-15, 1.0 - 1e-15)
+    r1 = np.clip(lag1_autocorr(residuals), -1.0 + 1e-15, 1.0 - 1e-15)
     # A constant row (ss_tot == 0) has zero residuals, so it counts as exact.
     r1[ss_res <= _EXACT_FIT_RATIO * ss_tot] = 0.0
 
-    n_eff = _effective_n(n, r1)
+    n_eff = effective_n(n, r1)
     df = n_eff - 2.0
     short = df <= 0.0
     if short.any():

@@ -224,22 +224,36 @@ def test_simulate_names_the_degenerate_replicate():
 
 
 @pytest.mark.parametrize(
-    "flag, value, code, message",
+    "flag, value, message",
     [
-        ("--sigma", "nan", 2, "sigma_innov must be finite and >= 0, got nan"),
-        ("--sigma", "inf", 2, "sigma_innov must be finite and >= 0, got inf"),
-        ("--trend-gaps", "nan", 1, "trend gaps must be finite, got [nan]"),
-        ("--trend-gaps", "0.1,inf", 1, "trend gaps must be finite, got [0.1, inf]"),
+        ("--sigma", "nan", "sigma_innov must be finite and >= 0, got nan"),
+        ("--sigma", "inf", "sigma_innov must be finite and >= 0, got inf"),
+        ("--trend-gaps", "nan", "trend gaps must be finite, got [nan]"),
+        ("--trend-gaps", "0.1,inf", "trend gaps must be finite, got [0.1, inf]"),
+        ("--phi", "1.5", "phi must satisfy |phi| < 1, got 1.5"),
+        ("--n", "2", "need n >= 3 months, got 2"),
     ],
-    ids=["sigma-nan", "sigma-inf", "gaps-nan", "gaps-inf"],
+    ids=["sigma-nan", "sigma-inf", "gaps-nan", "gaps-inf", "phi-1.5", "n-2"],
 )
-def test_simulate_rejects_non_finite_inputs_up_front(flag, value, code, message):
+def test_simulate_rejects_non_finite_inputs_up_front(flag, value, message):
     result = run_cli(
         "simulate", "--phi", "0.5", "--n", "60", "--reps", "1000",
         "--alpha", "0.05", "--seed", "1", flag, value,
     )
-    assert result.returncode == code
+    assert result.returncode == 1
     assert result.stderr == f"error: {message}\n"
+
+
+def test_undecodable_files_are_input_errors(fixture_dir, tmp_path):
+    series = tmp_path / "wide.csv"
+    series.write_bytes((fixture_dir / "sat_a.csv").read_text().encode("utf-16"))
+    registry = tmp_path / "registry.ini"
+    registry.write_bytes(b"[dataset:X]\nkind = satellite\npath = x.csv\nnotes = \xff\n")
+    for args in (("fit", str(series)), ("compare", "--registry", str(registry))):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "line" in result.stderr and "not UTF-8 text" in result.stderr
 
 
 def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):

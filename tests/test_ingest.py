@@ -127,6 +127,23 @@ class TestReadSeries:
         with pytest.raises(ParseError, match="line 1: year and month must be integers"):
             read_series(write(tmp_path, text))
 
+    def test_utf16_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_bytes("year,month,value\n1979,1,0.1\n".encode("utf-16"))
+        with pytest.raises(ParseError, match=r"wide\.csv, line 1: not UTF-8 text"):
+            read_series(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"year,month,value\n1979,1,0.1\n1979,2,0.\xff2\n1979,3,0.3\n")
+        with pytest.raises(ParseError, match=r"latin\.csv, line 3: not UTF-8 text"):
+            read_series(path)
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        text = "year,month,value\n1979,1,0.1\n1979,2," + "1" * 140_000 + "\n"
+        with pytest.raises(ParseError, match="line 3: field larger than field limit"):
+            read_series(write(tmp_path, text))
+
     def test_full_window_truncates_to_252(self, tmp_path):
         lines = []
         idx = MonthIndex(1979, 1)
@@ -243,6 +260,18 @@ class TestReadRegistry:
         bad = "[window:w1]\nstart = 1979:01\n"
         with pytest.raises(ParseError, match="window"):
             read_registry(write(tmp_path, bad, name="r.ini"))
+
+    def test_undecodable_registry_is_parse_error(self, tmp_path):
+        raw = GOOD_REGISTRY.format(abs_surf="surf.csv").encode("utf-8")
+        path = tmp_path / "r.ini"
+        path.write_bytes(raw.replace(b"notes = v5.2", b"notes = v5.2 \xff"))
+        with pytest.raises(ParseError, match=r"r\.ini, line 4: not UTF-8 text"):
+            read_registry(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "\ufeff" + GOOD_REGISTRY.format(abs_surf="surf.csv")
+        datasets, _ = read_registry(write(tmp_path, text, name="r.ini"))
+        assert datasets[0].id == "UAH_T2LT"
 
     def test_missing_registry_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):

@@ -13,7 +13,7 @@ from trendsig import (
     generate_batch,
 )
 from trendsig import mc
-from trendsig.errors import DomainError, EffectiveDfTooSmall, InputError
+from trendsig.errors import EffectiveDfTooSmall, InputError
 from trendsig.mc import size_power
 from trendsig.report import size_power_csv
 
@@ -37,21 +37,21 @@ def noise_rows(spec, reps):
 class TestAr1Spec:
     @pytest.mark.parametrize("phi", [1.0, -1.0, 1.2])
     def test_phi_domain(self, phi):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             Ar1Spec(phi, 0.1, 0.0, 100, seed=1)
 
     def test_sigma_domain(self):
         for sigma in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(DomainError, match="sigma_innov"):
+            with pytest.raises(InputError, match="sigma_innov"):
                 Ar1Spec(0.5, sigma, 0.0, 100, seed=1)
 
     @pytest.mark.parametrize("trend", [float("nan"), float("inf"), float("-inf")])
     def test_trend_must_be_finite(self, trend):
-        with pytest.raises(DomainError, match="trend_per_decade"):
+        with pytest.raises(InputError, match="trend_per_decade"):
             Ar1Spec(0.5, 0.1, trend, 100, seed=1)
 
     def test_minimum_length(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             Ar1Spec(0.5, 0.1, 0.0, 2, seed=1)
 
 

@@ -1,11 +1,12 @@
 """Property-based checks of the batched kernel against the scalar path.
 
-The batched fit and the array p-values are what the Monte Carlo study
-runs on, and the scalar ``fit``/``classify`` are their one-row cases, so
-every row must agree with the scalar result.  The invariance properties
+The batched fit and comparison are what the Monte Carlo study runs on,
+and a single ``fit``/``compare`` is their one-row case, so every row must
+agree with the scalar result.  The invariance properties
 (shift and scale of the values) follow from the OLS algebra.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trendsig import Ar1Spec, MonthlySeries, classify, fit, generate, generate_batch, mc
+from trendsig import (
+    Ar1Spec,
+    EnsembleStats,
+    MonthlySeries,
+    compare,
+    fit,
+    generate,
+    generate_batch,
+    mc,
+)
 from trendsig.errors import ComputationError
-from trendsig.sigtest import p_values
 from trendsig.trend import fit_batch
 
 FIELDS = ("slope_per_month", "slope_per_decade", "intercept", "r1", "n_eff", "se_slope", "df")
@@ -79,18 +88,22 @@ def test_batch_rows_agree_with_scalar_fit(batch):
 
 
 @given(
-    st.lists(
-        st.tuples(st.floats(-50.0, 50.0), st.floats(0.5, 1000.0)), min_size=1, max_size=20
-    )
+    batches(),
+    st.floats(-1.0, 1.0),
+    st.floats(0.01, 1.0),
+    st.integers(1, 40),
 )
-def test_array_classify_agrees_with_scalar(pairs):
-    d1, df = (np.array(col) for col in zip(*pairs))
-    cdf, p_two, p_one = p_values(d1, df)
-    for k, (x, nu) in enumerate(pairs):
-        res = classify(x, nu)
-        assert rel_close(100.0 * cdf[k], res.percentile)
-        assert rel_close(p_two[k], res.p_two_sided)
-        assert rel_close(p_one[k], res.p_one_sided)
+def test_batch_compare_agrees_with_scalar_compare(batch, trend, spread, n_models):
+    months, values = batch
+    ens = EnsembleStats(trend, spread, n_models)
+    try:
+        batch_result = compare(ens, fit_batch(months, values))
+    except ComputationError:
+        assume(False)
+    for k, row in enumerate(values):
+        one = compare(ens, fit(MonthlySeries("row", months, row)))
+        for field in dataclasses.fields(one):
+            assert getattr(batch_result, field.name)[k] == getattr(one, field.name), field
 
 
 noisy_specs = st.builds(

@@ -3,6 +3,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trendsig import (
@@ -11,14 +12,15 @@ from trendsig import (
     EnsembleStats,
     MonthIndex,
     TableRow,
-    classify,
     compare,
     difference,
     fit,
+    p_values,
     read_registry,
     read_series,
     render,
     run_comparison,
+    significance_marks,
     truncate,
 )
 from trendsig import report
@@ -37,52 +39,31 @@ WINDOW = (MonthIndex(1979, 1), MonthIndex(2009, 6))
 
 def golden_rows():
     """Four fixed rows exercising signs, lapse labels and the best-effort flag."""
-    verdicts = [
-        classify(2.42, 198.0),
-        classify(1.41, 210.0),
-        classify(-2.34, 180.0),
-        classify(-0.07, 300.0),
-    ]
-    return [
-        TableRow(
-            satellite="SAT_A",
-            ensemble_trend=0.215,
-            observed_trend=0.051,
-            d1=verdicts[0].d1_star,
-            percentile=verdicts[0].percentile,
-            marks_two_sided=verdicts[0].marks_two_sided,
-            marks_one_sided=verdicts[0].marks_one_sided,
-        ),
-        TableRow(
-            satellite="SAT_B",
-            ensemble_trend=0.199,
-            observed_trend=0.1404,
-            d1=verdicts[1].d1_star,
-            percentile=verdicts[1].percentile,
-            marks_two_sided=verdicts[1].marks_two_sided,
-            marks_one_sided=verdicts[1].marks_one_sided,
-        ),
-        TableRow(
+    d1 = [2.42, 1.41, -2.34, -0.07]
+    cdf, p_two, p_one = p_values(np.array(d1), np.array([198.0, 210.0, 180.0, 300.0]))
+    cells = [
+        dict(satellite="SAT_A", ensemble_trend=0.215, observed_trend=0.051),
+        dict(satellite="SAT_B", ensemble_trend=0.199, observed_trend=0.1404),
+        dict(
             satellite="SAT_A",
             surface="SURF_A",
             ensemble_trend=-0.069,
             observed_trend=0.0721,
-            d1=verdicts[2].d1_star,
-            percentile=verdicts[2].percentile,
-            marks_two_sided=verdicts[2].marks_two_sided,
-            marks_one_sided=verdicts[2].marks_one_sided,
             best_effort=True,
         ),
-        TableRow(
-            satellite="SAT_B",
-            surface="SURF_B",
-            ensemble_trend=-0.085,
-            observed_trend=-0.0004,
-            d1=verdicts[3].d1_star,
-            percentile=verdicts[3].percentile,
-            marks_two_sided=verdicts[3].marks_two_sided,
-            marks_one_sided=verdicts[3].marks_one_sided,
+        dict(
+            satellite="SAT_B", surface="SURF_B", ensemble_trend=-0.085, observed_trend=-0.0004
         ),
+    ]
+    return [
+        TableRow(
+            d1=d1[k],
+            percentile=100.0 * float(cdf[k]),
+            marks_two_sided=significance_marks(float(p_two[k])),
+            marks_one_sided=significance_marks(float(p_one[k])),
+            **cell,
+        )
+        for k, cell in enumerate(cells)
     ]
 
 
@@ -132,8 +113,8 @@ class TestRunComparison:
         assert row.d1 == verdict.d1_star
         assert row.percentile == verdict.percentile
         assert (row.marks_two_sided, row.marks_one_sided) == (
-            verdict.marks_two_sided,
-            verdict.marks_one_sided,
+            significance_marks(verdict.p_two_sided),
+            significance_marks(verdict.p_one_sided),
         )
         assert not row.best_effort
 

@@ -7,7 +7,6 @@ from conftest import make_line
 from trendsig import (
     EnsembleStats,
     MonthlySeries,
-    classify,
     compare,
     d1_star,
     fit,
@@ -21,6 +20,7 @@ from trendsig.errors import (
     ZeroDenominator,
 )
 from trendsig.sigtest import p_values
+from trendsig.trend import fit_batch
 
 # Values computed before the implementation with a 50-digit quadrature of
 # the t density (see test_acceptance.py for the generator).
@@ -141,42 +141,62 @@ class TestSignificanceMarks:
 
 
 class TestClassify:
+    """Reading a statistic against Student-t: ``p_values``, ``t_cdf``, ``compare``."""
+
     def test_zero_statistic(self):
-        res = classify(0.0, 10.0)
-        assert res.percentile == 50.0
-        assert res.p_two_sided == 1.0
-        assert res.p_one_sided == 0.5
-        assert res.marks_two_sided == "-"
-        assert res.marks_one_sided == "-"
+        cdf, p_two, p_one = p_values(0.0, 10.0)
+        assert 100.0 * cdf == 50.0
+        assert p_two == 1.0
+        assert p_one == 0.5
+        assert significance_marks(p_two) == significance_marks(p_one) == "-"
 
     def test_internal_consistency(self):
-        res = classify(2.42, 91.5)
-        cdf = t_cdf(2.42, 91.5)
+        res = compare(EnsembleStats(0.215, 0.2, 19), fit(make_line("obs", 0.051)))
+        cdf = t_cdf(res.d1_star, res.df)
         assert res.percentile == 100.0 * cdf
         assert res.p_two_sided == 2.0 * min(cdf, 1.0 - cdf)
         assert res.p_one_sided == 0.5 * res.p_two_sided
-        assert res.marks_two_sided == significance_marks(res.p_two_sided)
-        assert res.marks_one_sided == significance_marks(res.p_one_sided)
 
     def test_negative_statistic_lands_below_fifty(self):
-        res = classify(-2.34, 300.0)
-        assert res.percentile < 50.0
+        cdf, p_two, _ = p_values(-2.34, 300.0)
+        assert cdf < 0.5
         # mirror-image p agrees up to the 1 - (1 - h) round trip on one side
-        mirrored = classify(2.34, 300.0)
-        assert res.p_two_sided == pytest.approx(mirrored.p_two_sided, rel=1e-12)
+        _, mirrored, _ = p_values(2.34, 300.0)
+        assert p_two == pytest.approx(mirrored, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            classify(1.0, 0.0)
+            p_values(1.0, 0.0)
+        with pytest.raises(DomainError):
+            p_values(np.array([1.0, 2.0]), np.array([5.0, 0.0]))
+        with pytest.raises(DomainError):
+            p_values(np.array([1.0, 2.0]), np.array([5.0, math.nan]))
+        with pytest.raises(NonFiniteInput):
+            p_values(np.array([1.0, math.nan]), 5.0)
+        # A non-finite statistic is reported before a bad df, wherever each is.
+        with pytest.raises(NonFiniteInput):
+            p_values(math.inf, 0.0)
+        with pytest.raises(NonFiniteInput):
+            p_values(np.array([1.0, math.nan]), np.array([0.0, 5.0]))
 
 
 class TestCompare:
-    def test_composes_d1_star_and_classify(self):
+    def test_composes_d1_star_and_p_values(self):
         obs = fit(make_line("obs", 0.051))
         ens = EnsembleStats(0.215, 0.2, 19)
         got = compare(ens, obs)
-        want = classify(d1_star(ens, obs.slope_per_decade, obs.se_slope), obs.df)
-        assert got == want
+        stat = d1_star(ens, obs.slope_per_decade, obs.se_slope)
+        cdf, p_two, p_one = p_values(stat, obs.df)
+        assert (got.d1_star, got.df, got.percentile) == (stat, obs.df, 100.0 * cdf)
+        assert (got.p_two_sided, got.p_one_sided) == (p_two, p_one)
+        assert all(type(v) is float for v in vars(got).values())
+
+    def test_batch_fit_gives_one_entry_per_row(self):
+        a, b = make_line("a", 0.051), make_line("b", 0.3)
+        values = np.vstack([a.values, b.values]) + 0.05 * np.sin(np.arange(len(a)))
+        got = compare(EnsembleStats(0.215, 0.2, 19), fit_batch(a.months, values))
+        for value in vars(got).values():
+            assert isinstance(value, np.ndarray) and value.shape == (2,)
 
     def test_matching_trend_is_unremarkable(self):
         obs = fit(make_line("obs", 0.051))
@@ -184,8 +204,8 @@ class TestCompare:
         res = compare(ens, obs)
         assert abs(res.d1_star) < 1e-9
         assert res.percentile == pytest.approx(50.0, abs=1e-6)
-        assert res.marks_two_sided == "-"
-        assert res.marks_one_sided == "-"
+        assert significance_marks(res.p_two_sided) == "-"
+        assert significance_marks(res.p_one_sided) == "-"
 
     def test_zero_observed_se_needs_model_spread(self):
         # An integer ramp fits with literally zero residual, so se == 0.0
@@ -198,15 +218,12 @@ class TestCompare:
 
 
 class TestArrayForms:
-    def test_p_values_match_classify_elementwise(self):
+    def test_p_values_match_scalar_calls_elementwise(self):
         d1 = np.array([-7.0, -2.34, -0.5, 0.0, 1.08, 2.42, 50.0])
         df = np.array([88.6, 300.0, 1.0, 5.0, 30.0, 91.5, 1000.0])
         cdf, p_two, p_one = p_values(d1, df)
         for k in range(d1.size):
-            res = classify(float(d1[k]), float(df[k]))
-            assert 100.0 * cdf[k] == res.percentile
-            assert p_two[k] == res.p_two_sided
-            assert p_one[k] == res.p_one_sided
+            assert (cdf[k], p_two[k], p_one[k]) == p_values(float(d1[k]), float(df[k]))
             assert cdf[k] == t_cdf(float(d1[k]), float(df[k]))
 
     def test_d1_star_on_arrays_matches_scalar(self):
