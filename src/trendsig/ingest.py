@@ -21,7 +21,7 @@ per dataset and per comparison::
     n_models = 19
     start = 1979:01
     end = 2009:06
-    mode = trend                # trend | lapse (lapse needs a surface = <id> line)
+    mode = trend                # trend | lapse (only lapse takes a surface = <id> line)
 
 Loading is schema-only: dataset files are not opened, and windows are not
 checked against data coverage until a comparison actually runs.
@@ -95,9 +95,10 @@ class ComparisonSpec:
                 f"comparison {self.spec_id!r}: mode must be one of "
                 f"{COMPARISON_MODES}, got {self.mode!r}"
             )
-        if self.mode == "lapse" and self.surface_id is None:
+        if (self.mode == "lapse") != (self.surface_id is not None):
+            need = "needs a" if self.mode == "lapse" else "takes no"
             raise BadSpec(
-                f"comparison {self.spec_id!r}: mode 'lapse' needs a surface dataset"
+                f"comparison {self.spec_id!r}: mode {self.mode!r} {need} surface dataset"
             )
         start, end = self.window
         if start > end:
@@ -258,9 +259,7 @@ def _parse_dataset(
 
 def _parse_comparison(parser: ConfigParser, section: str, ident: str) -> ComparisonSpec:
     satellite = _require(parser, section, "satellite", BadSpec, "field")
-    surface = parser.get(section, "surface", fallback=None)
-    if surface is not None:
-        surface = surface.strip() or None
+    surface = parser.get(section, "surface", fallback="").strip() or None
     mode = _require(parser, section, "mode", BadSpec, "field")
 
     def ensemble_number(key: str, conv):

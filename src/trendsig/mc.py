@@ -8,9 +8,9 @@ then runs the fit-and-compare pipeline over many replicates and counts
 those whose two-sided p-value is at most ``alpha``.
 
 Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
-:func:`size_power` fits and tests each chunk at once through
-:func:`~trendsig.trend.fit_batch` and :func:`~trendsig.sigtest.compare`,
-the same functions that test a single observed series.
+:func:`size_power` fits each chunk once with :func:`~trendsig.trend.fit_batch`
+and tests it at every true trend in one :func:`~trendsig.sigtest.compare`
+call, the functions that test a single observed series.
 Its working memory is therefore a few ``CHUNK_ROWS x n`` float matrices
 (about 3 MB each at n = 360), whatever the replicate count.
 
@@ -23,7 +23,7 @@ depend on execution order or on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -99,10 +99,9 @@ def _noise_chunks(spec: Ar1Spec, reps: int) -> Iterator[tuple[int, np.ndarray]]:
     """
     rng = np.random.default_rng(spec.seed)
     scale = np.full(spec.n, spec.sigma_innov)
-    if spec.phi != 0.0:
-        # Stationary start: the first draw carries the marginal, not the
-        # innovation, standard deviation.
-        scale[0] = spec.sigma_innov / np.sqrt(1.0 - spec.phi**2)
+    # Stationary start: the first draw carries the marginal, not the
+    # innovation, standard deviation.
+    scale[0] = spec.sigma_innov / np.sqrt(1.0 - spec.phi**2)
     for first in range(0, reps, CHUNK_ROWS):
         y = rng.standard_normal((min(CHUNK_ROWS, reps - first), spec.n))
         y *= scale
@@ -149,14 +148,14 @@ def size_power(
     ``ens.trend`` (true agreement with the ensemble).  Each entry of
     ``trend_gaps`` offsets the true trend by that many deg C/decade and
     contributes one ``(gap, rejection rate)`` pair to the power curve.
-    The same noise rows are reused across trend values, so a gap of 0
-    reproduces the size exactly.  A replicate is rejected when its
-    two-sided p-value is at most ``alpha``.
+    Each noise chunk is fitted once and its slopes are shifted by every
+    true trend, so a gap of 0 reproduces the size exactly.  A replicate
+    is rejected when its two-sided p-value is at most ``alpha``.
 
-    A replicate that cannot be fitted (for example one whose residuals
-    leave no effective degrees of freedom) aborts the study with the
-    fit's :class:`~trendsig.errors.ComputationError`, its message naming
-    the replicate index and the true trend.
+    A replicate whose noise cannot be fitted (for example one whose
+    residuals leave no effective degrees of freedom) aborts the study
+    with the fit's :class:`~trendsig.errors.ComputationError`, naming
+    the replicate index: its noise fails at every trend value alike.
     """
     if reps < 1000:
         raise InputError(f"need at least 1000 replicates for stable rates, got {reps}")
@@ -165,23 +164,25 @@ def size_power(
     if not all(math.isfinite(g) for g in trend_gaps):
         raise InputError(f"trend gaps must be finite, got {list(trend_gaps)}")
 
-    n = null_spec.n
-    months = null_spec.start.ordinal + np.arange(n)
-    ramp = np.arange(n)
-    trends = [ens.trend] + [ens.trend + g for g in trend_gaps]
-    rejections = [0] * len(trends)
+    months = null_spec.start.ordinal + np.arange(null_spec.n)
+    per_month = (ens.trend + np.reshape([0.0, *trend_gaps], (-1, 1))) / MONTHS_PER_DECADE
+    rejections = np.zeros(len(per_month), dtype=np.int64)
     for first, noise in _noise_chunks(null_spec, reps):
-        for j, true_trend in enumerate(trends):
-            try:
-                f = fit_batch(months, noise + (true_trend / MONTHS_PER_DECADE) * ramp)
-            except ComputationError as exc:
-                if exc.row is None:
-                    raise
-                raise type(exc)(
-                    f"replicate {first + exc.row} at true trend {true_trend!r}: {exc}"
-                ) from exc
-            rejections[j] += int(np.count_nonzero(compare(ens, f).p_two_sided <= alpha))
+        try:
+            f = fit_batch(months, noise)
+        except ComputationError as exc:
+            if exc.row is None:
+                raise
+            raise type(exc)(f"replicate {first + exc.row}: {exc}") from exc
+        # Adding c * arange(n) moves only the slope (by exactly c) and the
+        # intercept; residuals, r1, n_eff, se and df are the noise's own.
+        slope = f.slope_per_month + per_month
+        shifted = replace(
+            f, slope_per_month=slope, slope_per_decade=MONTHS_PER_DECADE * slope,
+            intercept=f.intercept - per_month * months[0],
+        )
+        rejections += np.count_nonzero(compare(ens, shifted).p_two_sided <= alpha, axis=1)
 
-    rates = [r / reps for r in rejections]
+    rates = [r / reps for r in rejections.tolist()]
     curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]
     return SizePower(size=rates[0], power_curve=curve)

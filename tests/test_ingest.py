@@ -231,6 +231,11 @@ class TestReadRegistry:
         with pytest.raises(BadSpec, match="lapse"):
             read_registry(write(tmp_path, bad.format(abs_surf="s.csv"), name="r.ini"))
 
+    def test_trend_with_surface(self, tmp_path):
+        bad = GOOD_REGISTRY.replace("mode = trend", "surface = SURF\nmode = trend")
+        with pytest.raises(BadSpec, match="mode 'trend' takes no surface dataset"):
+            read_registry(write(tmp_path, bad.format(abs_surf="s.csv"), name="r.ini"))
+
     def test_unknown_mode(self, tmp_path):
         bad = GOOD_REGISTRY.replace("mode = trend", "mode = anomaly")
         with pytest.raises(BadSpec, match="mode"):
@@ -294,6 +299,17 @@ class TestDirectConstruction:
                 ensemble=EnsembleStats(0.1, 0.1, 3),
                 window=self.window(),
                 mode="lapse",
+            )
+
+    def test_comparison_spec_trend_takes_no_surface(self):
+        with pytest.raises(BadSpec, match="takes no surface"):
+            ComparisonSpec(
+                spec_id="s",
+                satellite_id="SAT",
+                ensemble=EnsembleStats(0.1, 0.1, 3),
+                window=self.window(),
+                mode="trend",
+                surface_id="SURF",
             )
 
     def test_comparison_spec_checks_window_order(self):

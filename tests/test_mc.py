@@ -168,9 +168,14 @@ class TestSizePower:
                 reps=1000, alpha=0.05,
             )
 
-    def test_counts_match_the_scalar_pipeline(self):
-        """Each rate equals fit + compare run replicate by replicate."""
-        spec = self.null_spec(n=60, phi=0.3)
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_counts_match_the_scalar_pipeline(self, sigma):
+        """Each rate equals fit + compare run replicate by replicate.
+
+        With sigma 0 every replicate is an exact line, which the scalar
+        fit sees with its trend and size_power sees as zero noise.
+        """
+        spec = Ar1Spec(0.3, sigma, 0.215, 60, seed=13)
         ens = EnsembleStats(0.215, 0.05, 19)
         gaps = [0.2, -0.5]
         result = size_power(spec, ens, reps=1000, alpha=0.05, trend_gaps=gaps)
@@ -194,9 +199,30 @@ class TestSizePower:
             monkeypatch.setattr(mc, "CHUNK_ROWS", chunk)
             assert run() == reference
 
+    def test_each_chunk_is_fitted_and_compared_once(self, monkeypatch):
+        """Trend values share one noise fit: calls do not grow with gaps."""
+        calls = {"fit_batch": 0, "compare": 0}
+
+        def counted(name):
+            original = getattr(mc, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(mc, name, counted(name))
+        size_power(
+            self.null_spec(), self.ens(), reps=2 * mc.CHUNK_ROWS, alpha=0.05,
+            trend_gaps=[0.1, 0.2, 0.3],
+        )
+        assert calls == {"fit_batch": 2, "compare": 2}
+
     def test_degenerate_replicate_is_named(self):
         spec = Ar1Spec(0.95, 0.1, 0.0, 12, seed=3)
-        with pytest.raises(EffectiveDfTooSmall, match="replicate 375 at true trend 0.0:"):
+        with pytest.raises(EffectiveDfTooSmall, match="replicate 375:"):
             size_power(spec, EnsembleStats(0.0, 0.0, 1), reps=1000, alpha=0.05)
 
     def test_memory_is_bounded_by_the_chunk(self):
