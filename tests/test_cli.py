@@ -256,6 +256,16 @@ def test_undecodable_files_are_input_errors(fixture_dir, tmp_path):
         assert "line" in result.stderr and "not UTF-8 text" in result.stderr
 
 
+def test_year_beyond_the_month_axis_is_input_error(tmp_path):
+    huge = tmp_path / "huge.csv"
+    huge.write_text(
+        "".join(f"99999999999999999999,{m},0.1\n" for m in range(1, 13)), encoding="utf-8"
+    )
+    result = run_cli("fit", str(huge))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {huge}, line 1: year 99999999999999999999 out of range\n"
+
+
 def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):
     registry = (fixture_dir / "registry.ini").read_text(encoding="utf-8")
     bad = tmp_path / "registry.ini"

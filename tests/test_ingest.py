@@ -1,5 +1,12 @@
+import csv
+import io
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendsig import (
     ComparisonSpec,
@@ -167,6 +174,181 @@ class TestReadSeries:
         path = tmp_path / "round_trip.csv"
         write_series(original, path)
         assert read_series(path) == original
+
+    def test_long_round_trip_with_missing_rows_and_a_gap(self, tmp_path):
+        rng = np.random.default_rng(11)
+        axis = MonthIndex(1850, 1).ordinal + np.arange(120_000)
+        gap = (axis >= MonthIndex(1900, 1).ordinal) & (axis < MonthIndex(1904, 7).ordinal)
+        na = (rng.random(axis.size) < 0.01) & ~gap
+        keep = ~gap & ~na
+        original = MonthlySeries("long", axis[keep], rng.standard_normal(keep.sum()))
+        path = tmp_path / "long.csv"
+        write_series(original, path)
+        header, *body = path.read_text(encoding="utf-8").splitlines()
+        na_rows = [
+            (o, f"{m.year},{m.month},NA")
+            for o, m in ((o, MonthIndex.from_ordinal(o)) for o in axis[na].tolist())
+        ]
+        rows = sorted([*zip(original.months.tolist(), body), *na_rows])
+        path.write_text("\n".join([header, *(r for _, r in rows)]) + "\n", encoding="utf-8")
+        assert len(rows) == 120_000 - gap.sum()
+        assert read_series(path) == original
+
+    def test_first_failing_line_wins_over_a_later_field_count(self, tmp_path):
+        text = "1979,1,0.1\n1979,2,0.2\n1979,13,0.3\n1979,4,0.4\n1979,5\n"
+        with pytest.raises(MonthOutOfRange, match="line 3: month must be in 1..12, got 13"):
+            read_series(write(tmp_path, text))
+
+    def test_missing_row_still_needs_a_valid_month(self, tmp_path):
+        with pytest.raises(MonthOutOfRange, match="line 2"):
+            read_series(write(tmp_path, "1979,1,0.1\n1979,13,NA\n1979,3,0.3\n"))
+
+    def test_missing_rows_take_no_part_in_the_duplicate_check(self, tmp_path):
+        s = read_series(write(tmp_path, "1979,2,0.1\n1979,3,NA\n1979,3,0.2\n"))
+        assert s.points == [(MonthIndex(1979, 2), 0.1), (MonthIndex(1979, 3), 0.2)]
+
+    def test_whitespace_fields_make_a_blank_row(self, tmp_path):
+        s = read_series(write(tmp_path, "1979,1,0.1\n , , \n1979,2,0.2\n"))
+        assert len(s) == 2
+
+    def test_error_after_a_quoted_newline_names_the_physical_line(self, tmp_path):
+        text = 'year,month,value\n1979,1,"0.1\n"\n1979,2,oops\n'
+        with pytest.raises(ParseError, match="line 4: cannot parse value 'oops'"):
+            read_series(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "year, month, value",
+        [
+            ("99999999999999999999", 2, "0.2"),
+            ("99999999999999999999", 2, "NA"),
+            ("768614336404564650", 8, "0.2"),  # 12 * year + 8 is 2**63
+            ("-768614336404564651", 1, "0.2"),  # 12 * year + 1 is below -2**63
+        ],
+    )
+    def test_year_beyond_the_month_axis_is_parse_error(self, tmp_path, year, month, value):
+        text = f"1979,1,0.1\n{year},{month},{value}\n"
+        with pytest.raises(ParseError, match=f"line 2: year {year} out of range"):
+            read_series(write(tmp_path, text))
+
+    def test_last_month_on_the_axis_is_read(self, tmp_path):
+        s = read_series(write(tmp_path, "768614336404564650,7,0.5\n"))
+        assert s.months.tolist() == [2**63 - 1]
+
+
+def row_reader(path, name=None):
+    """The row-by-row series reader that ``read_series`` replaced, kept as
+    the reference it must agree with: same series or same error."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    months: list[int] = []
+    values: list[float] = []
+    last_ordinal: int | None = None
+    first_row = True
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not row or all(not f.strip() for f in row):
+                continue
+            if first_row:
+                first_row = False
+                try:
+                    float(row[0])
+                except ValueError:
+                    continue  # header row
+            if len(row) != 3:
+                raise ParseError(
+                    f"{path}, line {line}: expected 3 fields (year,month,value), "
+                    f"got {len(row)}"
+                )
+            year_s, month_s, value_s = (f.strip() for f in row)
+            try:
+                year = int(year_s)
+                month = int(month_s)
+            except ValueError:
+                raise ParseError(
+                    f"{path}, line {line}: year and month must be integers"
+                ) from None
+            try:
+                idx = MonthIndex(year, month)
+            except MonthOutOfRange as exc:
+                raise MonthOutOfRange(f"{path}, line {line}: {exc}") from None
+            if value_s in ("", "NA"):
+                continue
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise ParseError(
+                    f"{path}, line {line}: cannot parse value {value_s!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}, line {line}: non-finite value {value_s!r}")
+            ordinal = idx.ordinal
+            if last_ordinal is not None:
+                if ordinal == last_ordinal:
+                    raise DuplicateMonth(f"{path}, line {line}: month {idx} repeated")
+                if ordinal < last_ordinal:
+                    raise ParseError(f"{path}, line {line}: months out of order")
+            last_ordinal = ordinal
+            months.append(ordinal)
+            values.append(value)
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+
+    return MonthlySeries(name if name is not None else path.stem, months, values)
+
+
+TOKENS = (
+    "1979", " 1981 ", "1_979", "+1980", "1979.0", "x", "", "0", "13",
+    "NA", "nan", "inf", "oops",
+)
+YEARS = st.sampled_from(TOKENS)
+MONTHS = st.sampled_from(TOKENS + ("1", " 2 ", "+3", "1_2", "\x1c4"))
+VALUES = st.sampled_from(TOKENS + ("0.25", " -1.5 ", " NA ", "\x1c0.5"))
+
+
+@st.composite
+def series_files(draw):
+    """CSV text mixing well-formed rows (months mostly increasing) with
+    rows of awkward fields, blank rows, 2-field rows and quoted newlines."""
+    rows = ["year,month,value"] if draw(st.booleans()) else []
+    ordinal = MonthIndex(1979, 1).ordinal
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["month", "month", "fields", "blank", "short", "quoted"]))
+        if kind == "month":
+            ordinal += draw(st.integers(-1, 3))
+            m = MonthIndex.from_ordinal(ordinal)
+            rows.append(f"{m.year},{m.month},{draw(VALUES)}")
+        elif kind == "fields":
+            rows.append(f"{draw(YEARS)},{draw(MONTHS)},{draw(VALUES)}")
+        elif kind == "blank":
+            rows.append(draw(st.sampled_from(["", " ", " , , ", ",,"])))
+        elif kind == "short":
+            rows.append(f"{draw(YEARS)},{draw(MONTHS)}")
+        else:
+            rows.append(f'{draw(YEARS)},"{draw(MONTHS)}\n",{draw(VALUES)}')
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(reader, path):
+    try:
+        s = reader(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return s.name, s.months.tolist(), s.values.tolist()
+
+
+@pytest.fixture(scope="module")
+def generated_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "series.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=series_files())
+def test_column_reader_agrees_with_row_reader(generated_csv, text):
+    generated_csv.write_bytes(text.encode("utf-8"))
+    assert outcome(read_series, generated_csv) == outcome(row_reader, generated_csv)
 
 
 class TestReadRegistry:
