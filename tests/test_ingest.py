@@ -185,10 +185,8 @@ class TestReadSeries:
         path = tmp_path / "long.csv"
         write_series(original, path)
         header, *body = path.read_text(encoding="utf-8").splitlines()
-        na_rows = [
-            (o, f"{m.year},{m.month},NA")
-            for o, m in ((o, MonthIndex.from_ordinal(o)) for o in axis[na].tolist())
-        ]
+        na_months = [MonthIndex.from_ordinal(o) for o in axis[na].tolist()]
+        na_rows = [(m.ordinal, f"{m.year},{m.month},NA") for m in na_months]
         rows = sorted([*zip(original.months.tolist(), body), *na_rows])
         path.write_text("\n".join([header, *(r for _, r in rows)]) + "\n", encoding="utf-8")
         assert len(rows) == 120_000 - gap.sum()
