@@ -22,7 +22,14 @@ from .ingest import (
     write_series,
 )
 from .mc import Ar1Spec, SizePower, generate, generate_batch, size_power
-from .report import TableRow, comparison_row, render, run_comparison, run_comparisons
+from .report import (
+    TableRow,
+    comparison_row,
+    render,
+    run_comparison,
+    run_comparisons,
+    significance_marks,
+)
 from .series import MonthIndex, MonthlySeries, align, difference, truncate
 from .sigtest import (
     EnsembleStats,
@@ -30,7 +37,6 @@ from .sigtest import (
     compare,
     d1_star,
     p_values,
-    significance_marks,
     t_cdf,
 )
 from .trend import TrendFit, effective_n, fit, fit_batch, lag1_autocorr

@@ -306,8 +306,12 @@ def write_series(s: MonthlySeries, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["year", "month", "value"])
-        for idx, value in s.points:
-            writer.writerow([idx.year, idx.month, repr(value)])
+        # Not divmod(ordinal - 1, 12): the shift wraps at the int64 minimum.
+        year, month = np.divmod(s.months, 12)
+        year -= month == 0  # a multiple of 12 is December of the year before
+        month[month == 0] = 12
+        values = map(repr, s.values.tolist())
+        writer.writerows(zip(year.tolist(), month.tolist(), values))
 
 
 def read_registry(path) -> tuple[list[DatasetEntry], list[ComparisonSpec]]:

@@ -1,9 +1,10 @@
 """Run comparisons end-to-end and render result tables.
 
 A table row pairs an ensemble trend with an observed trend and the test
-verdict.  Rows referencing datasets without version notes are flagged
-best-effort, since provider series get revised over time and a re-run on
-current data need not match archived numbers.
+verdict, p-values included; only :func:`render` turns them into
+significance marks.  Rows referencing datasets without version notes are
+flagged best-effort, since provider series get revised over time and a
+re-run on current data need not match archived numbers.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BadSpec, TrendSigError, UnknownDatasetId
+from .errors import BadSpec, DomainError, TrendSigError, UnknownDatasetId
 from .ingest import ComparisonSpec, DatasetEntry, read_series
 from .mc import Ar1Spec, SizePower
 from .series import MonthIndex, MonthlySeries, difference, truncate
-from .sigtest import EnsembleStats, compare, significance_marks
+from .sigtest import EnsembleStats, compare
 from .trend import fit
 
 __all__ = [
@@ -25,13 +26,12 @@ __all__ = [
     "render",
     "run_comparison",
     "run_comparisons",
+    "significance_marks",
     "size_power_csv",
 ]
 
 # Datasets by id, or a sequence of them.
 Registry = Mapping[str, DatasetEntry] | Iterable[DatasetEntry]
-
-_MARK_RANK = {"-": 0, "*": 1, "**": 2, "***": 3}
 
 _LEGEND = (
     "Trends in deg C/decade. Significance marks: * p <= 0.10, ** p <= 0.05,\n"
@@ -43,13 +43,26 @@ _BEST_EFFORT_NOTE = (
 )
 
 
+def significance_marks(p: float) -> str:
+    """Asterisks for a p-value: *** at 1%, ** at 5%, * at 10%, inclusive."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p-value must lie in [0, 1], got {p}")
+    if p <= 0.01:
+        return "***"
+    if p <= 0.05:
+        return "**"
+    if p <= 0.10:
+        return "*"
+    return "-"
+
+
 @dataclass(frozen=True)
 class TableRow:
     """One comparison outcome, stored at full precision.
 
     ``surface`` is None for plain trend comparisons and names the surface
-    dataset for difference-series (lapse) rows.  Display rounding happens
-    in :func:`render` only.
+    dataset for difference-series (lapse) rows.  Display rounding and
+    significance marks happen in :func:`render` only.
     """
 
     satellite: str
@@ -57,22 +70,10 @@ class TableRow:
     observed_trend: float
     d1: float
     percentile: float
-    marks_two_sided: str
-    marks_one_sided: str
+    p_two_sided: float
+    p_one_sided: float
     surface: str | None = None
     best_effort: bool = False
-
-    def __post_init__(self) -> None:
-        for mark in (self.marks_two_sided, self.marks_one_sided):
-            if mark not in _MARK_RANK:
-                raise BadSpec(f"invalid significance mark {mark!r}")
-        # One-sided halves the p-value, so it can only be at least as
-        # significant as two-sided.
-        if _MARK_RANK[self.marks_one_sided] < _MARK_RANK[self.marks_two_sided]:
-            raise BadSpec(
-                f"one-sided mark {self.marks_one_sided!r} weaker than "
-                f"two-sided {self.marks_two_sided!r}"
-            )
 
     @property
     def label(self) -> str:
@@ -103,8 +104,8 @@ def comparison_row(
         observed_trend=trend_fit.slope_per_decade,
         d1=verdict.d1_star,
         percentile=verdict.percentile,
-        marks_two_sided=significance_marks(verdict.p_two_sided),
-        marks_one_sided=significance_marks(verdict.p_one_sided),
+        p_two_sided=verdict.p_two_sided,
+        p_one_sided=verdict.p_one_sided,
         best_effort=best_effort,
     )
 
@@ -158,37 +159,34 @@ def _fmt(value: float, decimals: int) -> str:
 
 
 def _cells(row: TableRow) -> tuple[str, ...]:
+    """Displayed values of a row: trends, d1*, percentile, two- and one-sided marks."""
     return (
-        row.label,
         _fmt(row.ensemble_trend, 3),
         _fmt(row.observed_trend, 3),
         _fmt(row.d1, 2),
         _fmt(row.percentile, 1),
-        f"{row.marks_two_sided} ({row.marks_one_sided})",
+        significance_marks(row.p_two_sided),
+        significance_marks(row.p_one_sided),
     )
 
 
 def _render_text(rows: Sequence[TableRow]) -> str:
     header = ("comparison", "ensemble", "observed", "d1*", "pctile", "significance")
-    table = [header] + [_cells(r) for r in rows]
+    table = [header]
+    for row in rows:
+        *numbers, two_sided, one_sided = _cells(row)
+        table.append((row.label, *numbers, f"{two_sided} ({one_sided})"))
     widths = [max(len(line[col]) for line in table) for col in range(len(header))]
 
-    out = io.StringIO()
-    flagged = False
-    for i, line in enumerate(table):
+    lines = []
+    for line, row in zip(table, [None, *rows]):
         cells = [line[0].ljust(widths[0])]
         cells += [c.rjust(w) for c, w in zip(line[1:-1], widths[1:-1])]
         cells.append(line[-1])
-        text = "  ".join(cells).rstrip()
-        if i > 0 and rows[i - 1].best_effort:
-            text += "  [best-effort]"
-            flagged = True
-        out.write(text + "\n")
-    out.write("\n")
-    out.write(_LEGEND)
-    if flagged:
-        out.write(_BEST_EFFORT_NOTE)
-    return out.getvalue()
+        flag = "  [best-effort]" if row is not None and row.best_effort else ""
+        lines.append("  ".join(cells).rstrip() + flag)
+    note = _BEST_EFFORT_NOTE if any(row.best_effort for row in rows) else ""
+    return "\n".join(lines) + "\n\n" + _LEGEND + note
 
 
 def _render_csv(rows: Sequence[TableRow]) -> str:
@@ -198,22 +196,8 @@ def _render_csv(rows: Sequence[TableRow]) -> str:
         "d1,percentile,two_sided,one_sided,best_effort\n"
     )
     for row in rows:
-        out.write(
-            ",".join(
-                (
-                    row.surface or "",
-                    row.satellite,
-                    _fmt(row.ensemble_trend, 3),
-                    _fmt(row.observed_trend, 3),
-                    _fmt(row.d1, 2),
-                    _fmt(row.percentile, 1),
-                    row.marks_two_sided,
-                    row.marks_one_sided,
-                    "1" if row.best_effort else "0",
-                )
-            )
-            + "\n"
-        )
+        flag = "1" if row.best_effort else "0"
+        out.write(",".join((row.surface or "", row.satellite, *_cells(row), flag)) + "\n")
     return out.getvalue()
 
 

@@ -83,14 +83,13 @@ class MonthlySeries:
             raise InputError(
                 f"months ({months.size}) and values ({values.size}) differ in length"
             )
-        if months.size > 1:
-            steps = np.diff(months)
-            flat = np.nonzero(steps == 0)[0]
-            if flat.size:
-                dup = MonthIndex.from_ordinal(int(months[flat[0]]))
-                raise DuplicateMonth(f"month {dup} appears more than once")
-            if np.any(steps < 0):
-                raise InputError("months must be strictly increasing")
+        # Compare neighbours: the int64 difference of far-apart ordinals wraps.
+        flat = np.flatnonzero(months[1:] == months[:-1])
+        if flat.size:
+            dup = MonthIndex.from_ordinal(int(months[flat[0]]))
+            raise DuplicateMonth(f"month {dup} appears more than once")
+        if np.any(months[1:] < months[:-1]):
+            raise InputError("months must be strictly increasing")
         months.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "months", months)

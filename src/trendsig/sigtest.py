@@ -8,8 +8,9 @@ with the scaled inter-model spread:
 
 It is referred to a Student-t distribution whose degrees of freedom come
 from the observed series (n_eff - 2).  Results report the t-CDF
-percentile and one- and two-sided p-values; :func:`significance_marks`
-turns a p-value into asterisks at the 10, 5 and 1 percent levels.
+percentile and one- and two-sided p-values.  This module holds numerics
+only: the significance marks of the result tables are a rendering of the
+p-values, owned by :mod:`trendsig.report`.
 
 :func:`d1_star`, :func:`p_values` and :func:`compare` work elementwise on
 arrays, which is how the Monte Carlo study tests many replicates at once;
@@ -69,8 +70,9 @@ class TestResult:
     with one entry per row.
 
     ``percentile`` is 100 times the t-CDF at the signed statistic, so
-    negative statistics land below 50.  Significance marks are left to
-    display code, through :func:`significance_marks`.
+    negative statistics land below 50.  ``p_one_sided`` is half of
+    ``p_two_sided``; report rows copy both, and rendering turns them into
+    marks with :func:`trendsig.report.significance_marks`.
     """
 
     d1_star: float | np.ndarray
@@ -135,19 +137,6 @@ def t_cdf(x: float, df: float) -> float:
     1e-10 over df in [1, 1000], |x| <= 50.
     """
     return float(p_values(x, df)[0])
-
-
-def significance_marks(p: float) -> str:
-    """Asterisks for a p-value: *** at 1%, ** at 5%, * at 10%, inclusive."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p-value must lie in [0, 1], got {p}")
-    if p <= 0.01:
-        return "***"
-    if p <= 0.05:
-        return "**"
-    if p <= 0.10:
-        return "*"
-    return "-"
 
 
 def compare(ens: EnsembleStats, obs: TrendFit) -> TestResult:

@@ -266,6 +266,18 @@ def test_year_beyond_the_month_axis_is_input_error(tmp_path):
     assert result.stderr == f"error: {huge}, line 1: year 99999999999999999999 out of range\n"
 
 
+def test_fit_on_months_too_far_apart_to_difference(tmp_path):
+    # The int64 difference of the first two ordinals overflows.
+    far = tmp_path / "far.csv"
+    far.write_text(
+        "-700000000000000000,1,0.1\n700000000000000000,1,0.2\n700000000000000000,2,0.3\n",
+        encoding="utf-8",
+    )
+    result = run_cli("fit", str(far))
+    assert result.returncode == 0, result.stderr
+    assert "n: 3" in result.stdout
+
+
 def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):
     registry = (fixture_dir / "registry.ini").read_text(encoding="utf-8")
     bad = tmp_path / "registry.ini"

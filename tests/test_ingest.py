@@ -171,9 +171,25 @@ class TestReadSeries:
                 (MonthIndex(1980, 7), 1e-17),  # gap before this point survives
             ],
         )
-        path = tmp_path / "round_trip.csv"
-        write_series(original, path)
-        assert read_series(path) == original
+        # negative and zero years, the int64 ends of the month axis, a
+        # signed zero and a tiny value
+        odd = MonthlySeries.from_points(
+            "odd_years",
+            [
+                (MonthIndex(-768614336404564651, 4), 0.5),
+                (MonthIndex(-3, 1), -0.0),
+                (MonthIndex(-2, 11), 1e-300),
+                (MonthIndex(0, 12), -2.5e17),
+                (MonthIndex(2024, 5), 3.0),
+                (MonthIndex(768614336404564650, 7), 0.25),
+            ],
+        )
+        for series in (original, odd):
+            path = tmp_path / f"{series.name}.csv"
+            write_series(series, path)
+            back = read_series(path)
+            assert back == series
+            assert np.array_equal(np.signbit(back.values), np.signbit(series.values))
 
     def test_long_round_trip_with_missing_rows_and_a_gap(self, tmp_path):
         rng = np.random.default_rng(11)

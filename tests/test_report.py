@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendsig import (
     ComparisonSpec,
@@ -26,7 +29,6 @@ from trendsig import (
 from trendsig import report
 from trendsig.cli import main
 from trendsig.errors import (
-    BadSpec,
     InputError,
     TooFewPoints,
     UnknownDatasetId,
@@ -59,8 +61,8 @@ def golden_rows():
         TableRow(
             d1=d1[k],
             percentile=100.0 * float(cdf[k]),
-            marks_two_sided=significance_marks(float(p_two[k])),
-            marks_one_sided=significance_marks(float(p_one[k])),
+            p_two_sided=float(p_two[k]),
+            p_one_sided=float(p_one[k]),
             **cell,
         )
         for k, cell in enumerate(cells)
@@ -73,29 +75,18 @@ class TestTableRow:
         assert row.label == "SAT_A"
         assert golden_rows()[2].label == "SURF_A-minus-SAT_A"
 
-    def test_rejects_unknown_mark(self):
-        with pytest.raises(BadSpec):
-            TableRow(
-                satellite="S",
-                ensemble_trend=0.1,
-                observed_trend=0.1,
-                d1=0.0,
-                percentile=50.0,
-                marks_two_sided="x",
-                marks_one_sided="-",
-            )
 
-    def test_rejects_one_sided_weaker_than_two_sided(self):
-        with pytest.raises(BadSpec):
-            TableRow(
-                satellite="S",
-                ensemble_trend=0.1,
-                observed_trend=0.1,
-                d1=2.0,
-                percentile=97.0,
-                marks_two_sided="**",
-                marks_one_sided="-",
-            )
+MARK_RANK = ["-", "*", "**", "***"]
+
+
+class TestSignificanceCell:
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_one_sided_mark_never_weaker_and_cell_shows_both(self, p):
+        two, one = significance_marks(p), significance_marks(p / 2.0)
+        assert MARK_RANK.index(one) >= MARK_RANK.index(two)
+        row = dataclasses.replace(golden_rows()[0], p_two_sided=p, p_one_sided=p / 2.0)
+        assert render([row]).splitlines()[1].endswith(f"  {two} ({one})")
 
 
 class TestRunComparison:
@@ -112,10 +103,8 @@ class TestRunComparison:
         assert row.observed_trend == f.slope_per_decade
         assert row.d1 == verdict.d1_star
         assert row.percentile == verdict.percentile
-        assert (row.marks_two_sided, row.marks_one_sided) == (
-            significance_marks(verdict.p_two_sided),
-            significance_marks(verdict.p_one_sided),
-        )
+        assert row.p_two_sided == verdict.p_two_sided
+        assert row.p_one_sided == verdict.p_one_sided
         assert not row.best_effort
 
     def test_lapse_mode_differences_then_fits(self, fixture_dir):
@@ -140,7 +129,7 @@ class TestRunComparison:
         expected_d1 = (0.215 - row.observed_trend) / math.sqrt(0.2**2 / 19)
         assert row.d1 == pytest.approx(expected_d1, abs=1e-9)
         assert round(row.d1, 2) == 3.57
-        assert row.marks_two_sided == "***"
+        assert significance_marks(row.p_two_sided) == "***"
 
     def test_engineered_agreement_gives_null_row(self, tmp_path, fixture_dir):
         # ensemble trend set to the line's own slope: d1 ~ 0, marks "- (-)"
@@ -157,7 +146,8 @@ class TestRunComparison:
         row = run_comparison(spec, registry)
         assert abs(row.d1) < 1e-9
         assert row.percentile == pytest.approx(50.0, abs=1e-6)
-        assert row.marks_two_sided == "-" and row.marks_one_sided == "-"
+        assert significance_marks(row.p_two_sided) == "-"
+        assert significance_marks(row.p_one_sided) == "-"
 
     def test_accepts_dataset_iterable(self, fixture_dir):
         datasets, comparisons = read_registry(fixture_dir / "registry.ini")

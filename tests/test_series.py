@@ -58,6 +58,13 @@ class TestMonthlySeries:
         with pytest.raises(InputError, match="increasing"):
             MonthlySeries("x", [24000, 23999], [0.1, 0.2])
 
+    def test_order_check_does_not_wrap_on_far_apart_months(self):
+        # The int64 difference of these ordinals overflows.
+        far = 8_400_000_000_000_000_000
+        assert MonthlySeries("x", [-far, far], [0.1, 0.2]).months.tolist() == [-far, far]
+        with pytest.raises(InputError, match="increasing"):
+            MonthlySeries("x", [far, -far], [0.1, 0.2])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             MonthlySeries("x", [24000, 24001], [0.1])
