@@ -60,7 +60,7 @@ class Ar1Spec:
     n : int
         Number of months (>= 3).
     seed : int
-        Seed for the innovation stream.
+        Seed for the innovation stream (>= 0).
     start : MonthIndex
         First month of the generated series.
     """
@@ -85,6 +85,8 @@ class Ar1Spec:
             )
         if self.n < 3:
             raise InputError(f"need n >= 3 months, got {self.n}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 # Replicates generated and evaluated together: bounds size_power's memory.

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,8 +233,9 @@ def test_simulate_names_the_degenerate_replicate():
         ("--trend-gaps", "0.1,inf", "trend gaps must be finite, got [0.1, inf]"),
         ("--phi", "1.5", "phi must satisfy |phi| < 1, got 1.5"),
         ("--n", "2", "need n >= 3 months, got 2"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ],
-    ids=["sigma-nan", "sigma-inf", "gaps-nan", "gaps-inf", "phi-1.5", "n-2"],
+    ids=["sigma-nan", "sigma-inf", "gaps-nan", "gaps-inf", "phi-1.5", "n-2", "seed-negative"],
 )
 def test_simulate_rejects_non_finite_inputs_up_front(flag, value, message):
     result = run_cli(
@@ -293,22 +295,38 @@ def test_compare_non_finite_ensemble_is_input_error(fixture_dir, tmp_path):
     assert "finite" in result.stderr
 
 
-def test_import_and_fit_load_no_scipy(fixture_dir):
+def test_commands_load_no_scipy_or_numpy_polynomial(fixture_dir):
+    """Every command runs on numpy alone, without computing the quadrature rule."""
+    runs = [
+        ([arg.format(d=fixture_dir) for arg in PINNED[name]], 0)
+        for name in ("fit_window.txt", "compare.txt", "lapse.txt")
+    ] + [
+        (["simulate", "--phi", "0.6", "--n", "60", "--reps", "1000",
+          "--alpha", "0.05", "--seed", "1"], 0),
+        (["fit", "no-such-file.csv"], 1),
+    ]
     probe = (
-        "import sys\n"
-        "import trendsig\n"
+        "import contextlib, io, sys\n"
         "from trendsig.cli import main\n"
-        "def scipy_loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not scipy_loaded(), scipy_loaded()\n"
-        f"assert main(['fit', {str(fixture_dir / 'sat_a.csv')!r}]) == 0\n"
-        "assert main(['fit', 'no-such-file.csv']) == 1\n"
-        "assert not scipy_loaded(), scipy_loaded()\n"
+        f"for argv, code in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == code, argv\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))\n"
+        "assert not loaded, loaded\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -54,6 +54,11 @@ class TestAr1Spec:
         with pytest.raises(InputError):
             Ar1Spec(0.5, 0.1, 0.0, 2, seed=1)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            Ar1Spec(0.5, 0.1, 0.0, 100, seed=-1)
+        assert Ar1Spec(0.5, 0.1, 0.0, 100, seed=0).seed == 0
+
 
 class TestGenerate:
     def test_same_seed_same_series(self):
@@ -228,8 +233,7 @@ class TestSizePower:
     def test_memory_is_bounded_by_the_chunk(self):
         """20 000 x 360 noise would take 57.6 MB in one matrix."""
         spec = Ar1Spec(0.6, 0.1, 0.215, 360, seed=5)
-        # The first p-value imports scipy.special; keep its module objects
-        # out of the count.
+        # A first run keeps one-time allocations out of the count.
         size_power(spec, self.ens(), reps=1000, alpha=0.05)
         tracemalloc.start()
         try:

@@ -3,7 +3,9 @@
 The batched fit and comparison are what the Monte Carlo study runs on,
 and a single ``fit``/``compare`` is their one-row case, so every row must
 agree with the scalar result.  The invariance properties
-(shift and scale of the values) follow from the OLS algebra.
+(shift and scale of the values) follow from the OLS algebra, and the
+Student-t CDF is checked for symmetry, order and range on both of its
+branches (x^2 < df and x^2 >= df).
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from trendsig import (
     mc,
 )
 from trendsig.errors import ComputationError
+from trendsig.sigtest import p_values, t_cdf
 from trendsig.trend import fit_batch
 
 FIELDS = ("slope_per_month", "slope_per_decade", "intercept", "r1", "n_eff", "se_slope", "df")
@@ -156,3 +159,36 @@ def test_replicates_do_not_depend_on_chunking_or_count(phi, seed, chunk, reps, e
     with mock.patch.object(mc, "CHUNK_ROWS", chunk):
         chunked = np.vstack([s.values for s in generate_batch(spec, reps)])
     assert np.array_equal(chunked, whole[:reps])
+
+
+@st.composite
+def t_points(draw):
+    """(x, df) with x^2 on either side of df: the CDF's body and tail branches."""
+    df = draw(st.floats(0.05, 1e6))
+    if draw(st.booleans()):
+        return draw(st.floats(-50.0, 50.0)), df
+    return draw(st.floats(-3.0, 3.0)) * float(np.sqrt(df)), df
+
+
+@given(st.lists(t_points(), min_size=1, max_size=12))
+def test_cdf_of_an_array_equals_its_scalar_calls(points):
+    x, df = np.array(points).T
+    cdf, p_two, p_one = p_values(x, df)
+    for k in range(x.size):
+        assert (cdf[k], p_two[k], p_one[k]) == p_values(x[k], df[k])
+
+
+@given(t_points())
+def test_cdf_is_symmetric_and_half_at_zero(point):
+    x, df = point
+    assert abs(t_cdf(x, df) + t_cdf(-x, df) - 1.0) <= 1e-14
+    assert t_cdf(0.0, df) == 0.5
+
+
+@given(t_points(), st.floats(0.0, 10.0))
+def test_cdf_is_monotone_and_in_range(point, step):
+    """Non-decreasing up to round-off: a few ulps of 1/2, never more than 1e-15."""
+    x, df = point
+    low, high = t_cdf(x, df), t_cdf(x + step, df)
+    assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+    assert low <= high + 1e-15

@@ -10,6 +10,7 @@ from trendsig import (
     compare,
     d1_star,
     fit,
+    sigtest,
     significance_marks,
     t_cdf,
 )
@@ -114,6 +115,34 @@ class TestTCdf:
         with pytest.raises(NonFiniteInput):
             t_cdf(math.nan, 5.0)
 
+    @pytest.mark.parametrize("df", [0.05, 0.5, 1.0, 3.5, 30.5, 91.5, 366.0, 1000.0, 1e4, 1e6])
+    def test_matches_mpmath_on_both_branches(self, df):
+        """x = sqrt(df) (1 -+ 1e-12) sits either side of the body/tail switch."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        root = math.sqrt(df)
+        for x in (1e-7, 0.3, 1.96, root * (1 - 1e-12), root * (1 + 1e-12), 7.0, 50.0):
+            w = df / (df + mpmath.mpf(x) ** 2)
+            tail = mpmath.betainc(df / 2, 0.5, 0, w, regularized=True) / 2
+            for sign, want in ((1.0, 1 - tail), (-1.0, tail)):
+                assert abs(t_cdf(sign * x, df) - float(want)) <= 1e-12, (sign * x, df)
+
+    def test_huge_df_gives_the_normal_limit(self):
+        for df in (1e12, 1e300):
+            for x in (-3.0, -1.0, 0.5, 1.0, 2.42):
+                normal = 0.5 * math.erfc(-x / math.sqrt(2.0))
+                assert t_cdf(x, df) == pytest.approx(normal, abs=1e-10)
+
+    def test_huge_statistic_does_not_overflow(self):
+        # x^2 overflows; P(T < -1e200) under df = 0.05 is still 4.5e-11 (mpmath).
+        assert t_cdf(-1e200, 0.05) == pytest.approx(4.4856310480634823e-11, rel=1e-12)
+        assert t_cdf(1e200, 5.0) == 1.0
+
+    def test_gauss_legendre_literals(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert np.array_equal(sigtest._GL_NODES, (nodes + 1.0) / 2.0)
+        assert np.array_equal(sigtest._GL_WEIGHTS, weights / 2.0)
+
 
 class TestSignificanceMarks:
     @pytest.mark.parametrize(
@@ -171,11 +200,16 @@ class TestClassify:
             p_values(np.array([1.0, 2.0]), np.array([5.0, 0.0]))
         with pytest.raises(DomainError):
             p_values(np.array([1.0, 2.0]), np.array([5.0, math.nan]))
+        for df in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite and positive, got"):
+                p_values(1.0, df)
         with pytest.raises(NonFiniteInput):
             p_values(np.array([1.0, math.nan]), 5.0)
         # A non-finite statistic is reported before a bad df, wherever each is.
         with pytest.raises(NonFiniteInput):
             p_values(math.inf, 0.0)
+        with pytest.raises(NonFiniteInput):
+            p_values(math.nan, math.inf)
         with pytest.raises(NonFiniteInput):
             p_values(np.array([1.0, math.nan]), np.array([0.0, 5.0]))
 
