@@ -21,7 +21,7 @@ from .ingest import (
     read_series,
     write_series,
 )
-from .mc import Ar1Spec, SizePower, generate, generate_batch, size_power
+from .mc import Ar1Spec, SizePower, generate_batch, size_power
 from .report import (
     TableRow,
     comparison_row,
@@ -30,7 +30,7 @@ from .report import (
     run_comparisons,
     significance_marks,
 )
-from .series import MonthIndex, MonthlySeries, align, difference, truncate
+from .series import MonthIndex, MonthlySeries, difference, truncate
 from .sigtest import (
     EnsembleStats,
     TestResult,
@@ -58,7 +58,6 @@ __all__ = [
     "TestResult",
     "TrendFit",
     "TrendSigError",
-    "align",
     "compare",
     "comparison_row",
     "d1_star",
@@ -66,7 +65,6 @@ __all__ = [
     "effective_n",
     "fit",
     "fit_batch",
-    "generate",
     "generate_batch",
     "lag1_autocorr",
     "p_values",

@@ -39,7 +39,6 @@ from .trend import MONTHS_PER_DECADE, fit, fit_batch  # noqa: F401
 __all__ = [
     "Ar1Spec",
     "SizePower",
-    "generate",
     "generate_batch",
     "size_power",
 ]
@@ -111,11 +110,6 @@ def _noise_chunks(spec: Ar1Spec, reps: int) -> Iterator[tuple[int, np.ndarray]]:
             for t in range(1, spec.n):
                 y[:, t] += spec.phi * y[:, t - 1]
         yield first, y
-
-
-def generate(spec: Ar1Spec) -> MonthlySeries:
-    """Generate replicate 0 of ``spec``: ``generate_batch(spec, 1)[0]``."""
-    return generate_batch(spec, 1)[0]
 
 
 def generate_batch(spec: Ar1Spec, reps: int) -> list[MonthlySeries]:

@@ -148,6 +148,8 @@ def run_comparisons(
     return rows
 
 
+# No package code calls this: perfbench's worker and test_perfbench.py do.
+# It goes when ROADMAP item 1 moves them to run_comparisons.
 def run_comparison(spec: ComparisonSpec, registry: Registry) -> TableRow:
     """Execute one comparison spec: the one-spec case of :func:`run_comparisons`."""
     return run_comparisons([spec], registry)[0]

@@ -1,4 +1,4 @@
-"""Monthly time series: representation, truncation, alignment, differencing.
+"""Monthly time series: representation, truncation, differencing.
 
 A series is a named, strictly increasing sequence of calendar months with
 one value (deg C anomaly) per month.  Missing months are simply absent;
@@ -10,7 +10,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -96,15 +95,6 @@ class MonthlySeries:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_points(
-        cls, name: str, points: Iterable[tuple[MonthIndex, float]]
-    ) -> MonthlySeries:
-        pts = list(points)
-        months = [m.ordinal for m, _ in pts]
-        values = [v for _, v in pts]
-        return cls(name, np.asarray(months, dtype=np.int64), np.asarray(values))
-
-    @classmethod
     def from_start(cls, name: str, start: MonthIndex, values) -> MonthlySeries:
         """Gap-free series beginning at ``start``."""
         values = np.asarray(values, dtype=np.float64)
@@ -135,14 +125,6 @@ class MonthlySeries:
             raise IndexError("empty series has no last month")
         return MonthIndex.from_ordinal(int(self.months[-1]))
 
-    @property
-    def points(self) -> list[tuple[MonthIndex, float]]:
-        """Materialized (month, value) pairs in order."""
-        return [
-            (MonthIndex.from_ordinal(int(m)), float(v))
-            for m, v in zip(self.months, self.values)
-        ]
-
 
 def truncate(
     s: MonthlySeries, start: MonthIndex | None, end: MonthIndex | None
@@ -159,20 +141,13 @@ def truncate(
     return MonthlySeries(s.name, s.months[lo:hi], s.values[lo:hi])
 
 
-def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:
-    """Restrict both series to the months they share, in order."""
-    common, ia, ib = np.intersect1d(
-        a.months, b.months, assume_unique=True, return_indices=True
-    )
-    return (
-        MonthlySeries(a.name, common, a.values[ia]),
-        MonthlySeries(b.name, common, b.values[ib]),
-    )
-
-
 def difference(surface: MonthlySeries, troposphere: MonthlySeries) -> MonthlySeries:
-    """Pointwise surface minus troposphere over their common months."""
-    sa, ta = align(surface, troposphere)
+    """Pointwise surface minus troposphere over the months both series share."""
+    common, i, j = np.intersect1d(
+        surface.months, troposphere.months, assume_unique=True, return_indices=True
+    )
     return MonthlySeries(
-        f"{surface.name}-minus-{troposphere.name}", sa.months, sa.values - ta.values
+        f"{surface.name}-minus-{troposphere.name}",
+        common,
+        surface.values[i] - troposphere.values[j],
     )

@@ -24,6 +24,7 @@ incomplete beta function where x^2 >= df.  Its absolute error is below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class EnsembleStats:
             raise InputError(f"inter_model_sd must be >= 0, got {self.inter_model_sd}")
         if self.n_models < 1:
             raise InputError(f"n_models must be >= 1, got {self.n_models}")
+        if self.n_models > sys.float_info.max:
+            raise InputError("n_models is too large to convert to a float")
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,11 @@ def d1_star(
     Either spread term may be zero, but not both.  Arrays of trends and
     standard errors give an array of statistics; scalars give a float.
     """
-    denom2 = ens.inter_model_sd**2 / ens.n_models + obs_se**2
-    if np.any(denom2 <= 0.0):
+    # hypot: the squares of a representable spread or se can overflow or underflow.
+    denom = np.hypot(ens.inter_model_sd / math.sqrt(ens.n_models), obs_se)
+    if np.any(denom == 0.0):
         raise ZeroDenominator("both the inter-model spread and the observed se are zero")
-    d1 = (ens.trend - obs_trend) / np.sqrt(denom2)
+    d1 = (ens.trend - obs_trend) / denom
     return float(d1) if np.ndim(d1) == 0 else d1
 
 

@@ -246,6 +246,40 @@ def test_simulate_rejects_non_finite_inputs_up_front(flag, value, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "sd, n_models, error",
+    [
+        ("1e300", "3", None),
+        ("1e-170", "3", None),
+        ("0.1", "1" + "0" * 400, "n_models is too large to convert to a float"),
+    ],
+    ids=["sd-1e300", "sd-1e-170", "n-models-401-digits"],
+)
+def test_extreme_ensemble_inputs_end_cleanly(fixture_dir, tmp_path, sd, n_models, error):
+    """A spread whose square overflows or underflows still gives a verdict, a
+    zero-se fit included; an ensemble too large for a float is an input error."""
+    sat = str(fixture_dir / "sat_a.csv")
+    ensemble = ("--ensemble-trend", "0.2", "--ensemble-sd", sd, "--n-models", n_models)
+    registry = tmp_path / "registry.ini"
+    registry.write_text(
+        (fixture_dir / "registry.ini").read_text(encoding="utf-8")
+        .replace("path = ", f"path = {fixture_dir}/")
+        .replace("ensemble_sd = 0.092", f"ensemble_sd = {sd}")
+        .replace("n_models = 19", f"n_models = {n_models}"),
+        encoding="utf-8",
+    )
+    runs = [
+        (("lapse", sat, sat, *ensemble), ""),
+        (("compare", "--registry", str(registry)), "[comparison:sat_trend] "),
+    ]
+    for args, prefix in runs:
+        result = run_cli(*args)
+        if error is None:
+            assert (result.returncode, result.stderr) == (0, "")
+        else:
+            assert (result.returncode, result.stderr) == (1, f"error: {prefix}{error}\n")
+
+
 def test_undecodable_files_are_input_errors(fixture_dir, tmp_path):
     series = tmp_path / "wide.csv"
     series.write_bytes((fixture_dir / "sat_a.csv").read_text().encode("utf-16"))

@@ -2,12 +2,14 @@
 
 A name that moves between modules must leave every ``__all__`` that
 listed it; ``from <module> import *`` raises on any name that does not
-resolve.
+resolve.  A name that loses its last use must also lose its import.
 """
 
+import ast
 import collections
 import importlib
 import pkgutil
+from pathlib import Path
 
 import trendsig
 
@@ -23,3 +25,31 @@ def test_every_listed_public_name_resolves_once():
         exec(f"from {module.__name__} import *", {})
         repeats = [n for n, k in collections.Counter(module.__all__).items() if k > 1]
         assert not repeats, f"{module.__name__}.__all__ lists {repeats} twice"
+
+
+def test_every_imported_name_is_used_or_exported():
+    """Module-level imports in the package are used, listed in ``__all__``,
+    or marked ``# noqa: F401`` on the import statement."""
+    dead = []
+    for path in sorted(Path(trendsig.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    dead.append(f"{path.name}:{node.lineno}: {name}")
+    assert not dead, f"imported but never used: {dead}"

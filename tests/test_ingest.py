@@ -71,10 +71,8 @@ class TestReadSeries:
     def test_two_plain_rows(self, tmp_path):
         s = read_series(write(tmp_path, "1979,1,0.12\n1979,2,-0.05\n"))
         assert len(s) == 2
-        assert s.points == [
-            (MonthIndex(1979, 1), 0.12),
-            (MonthIndex(1979, 2), -0.05),
-        ]
+        assert s.months.tolist() == [12 * 1979 + m for m in (1, 2)]
+        assert s.values.tolist() == [0.12, -0.05]
 
     def test_header_row_skipped(self, tmp_path):
         s = read_series(write(tmp_path, "year,month,value\n1979,1,0.12\n"))
@@ -83,7 +81,7 @@ class TestReadSeries:
     def test_missing_values_dropped(self, tmp_path):
         text = "1979,1,0.12\n1979,2,NA\n1979,3,\n1979,4,0.3\n"
         s = read_series(write(tmp_path, text))
-        assert [m.month for m, _ in s.points] == [1, 4]
+        assert s.months.tolist() == [12 * 1979 + m for m in (1, 4)]
 
     def test_blank_lines_tolerated(self, tmp_path):
         s = read_series(write(tmp_path, "\n1979,1,0.12\n\n1979,2,0.2\n"))
@@ -127,7 +125,7 @@ class TestReadSeries:
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         text = "\ufeff1979,1,0.1\n1979,2,0.2\n1979,3,0.3\n1979,4,0.4\n"
         s = read_series(write(tmp_path, text))
-        assert [m.month for m, _ in s.points] == [1, 2, 3, 4]
+        assert s.months.tolist() == [12 * 1979 + m for m in (1, 2, 3, 4)]
 
     def test_numeric_first_row_is_data_not_header(self, tmp_path):
         text = "1979.0,1,0.1\n1979,2,0.2\n1979,3,0.3\n"
@@ -163,26 +161,25 @@ class TestReadSeries:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        original = MonthlySeries.from_points(
+        original = MonthlySeries(
             "round_trip",
-            [
-                (MonthIndex(1979, 1), float(rng.standard_normal())),
-                (MonthIndex(1979, 2), -0.125),
-                (MonthIndex(1980, 7), 1e-17),  # gap before this point survives
-            ],
+            [12 * 1979 + 1, 12 * 1979 + 2, 12 * 1980 + 7],  # a gap that survives
+            [float(rng.standard_normal()), -0.125, 1e-17],
         )
         # negative and zero years, the int64 ends of the month axis, a
         # signed zero and a tiny value
-        odd = MonthlySeries.from_points(
+        odd_months = [
+            MonthIndex(-768614336404564651, 4),
+            MonthIndex(-3, 1),
+            MonthIndex(-2, 11),
+            MonthIndex(0, 12),
+            MonthIndex(2024, 5),
+            MonthIndex(768614336404564650, 7),
+        ]
+        odd = MonthlySeries(
             "odd_years",
-            [
-                (MonthIndex(-768614336404564651, 4), 0.5),
-                (MonthIndex(-3, 1), -0.0),
-                (MonthIndex(-2, 11), 1e-300),
-                (MonthIndex(0, 12), -2.5e17),
-                (MonthIndex(2024, 5), 3.0),
-                (MonthIndex(768614336404564650, 7), 0.25),
-            ],
+            [m.ordinal for m in odd_months],
+            [0.5, -0.0, 1e-300, -2.5e17, 3.0, 0.25],
         )
         for series in (original, odd):
             path = tmp_path / f"{series.name}.csv"
@@ -219,7 +216,8 @@ class TestReadSeries:
 
     def test_missing_rows_take_no_part_in_the_duplicate_check(self, tmp_path):
         s = read_series(write(tmp_path, "1979,2,0.1\n1979,3,NA\n1979,3,0.2\n"))
-        assert s.points == [(MonthIndex(1979, 2), 0.1), (MonthIndex(1979, 3), 0.2)]
+        assert s.months.tolist() == [12 * 1979 + m for m in (2, 3)]
+        assert s.values.tolist() == [0.1, 0.2]
 
     def test_whitespace_fields_make_a_blank_row(self, tmp_path):
         s = read_series(write(tmp_path, "1979,1,0.1\n , , \n1979,2,0.2\n"))

@@ -9,7 +9,6 @@ from trendsig import (
     MonthIndex,
     compare,
     fit,
-    generate,
     generate_batch,
 )
 from trendsig import mc
@@ -63,22 +62,22 @@ class TestAr1Spec:
 class TestGenerate:
     def test_same_seed_same_series(self):
         spec = Ar1Spec(0.6, 0.1, 0.2, 240, seed=42)
-        assert generate(spec) == generate(spec)
+        assert generate_batch(spec, 1)[0] == generate_batch(spec, 1)[0]
 
     def test_different_seed_differs(self):
-        a = generate(Ar1Spec(0.6, 0.1, 0.2, 240, seed=1))
-        b = generate(Ar1Spec(0.6, 0.1, 0.2, 240, seed=2))
+        a = generate_batch(Ar1Spec(0.6, 0.1, 0.2, 240, seed=1), 1)[0]
+        b = generate_batch(Ar1Spec(0.6, 0.1, 0.2, 240, seed=2), 1)[0]
         assert not np.array_equal(a.values, b.values)
 
     def test_start_month_honoured(self):
         spec = Ar1Spec(0.0, 0.1, 0.0, 12, seed=3, start=MonthIndex(2001, 7))
-        s = generate(spec)
+        s = generate_batch(spec, 1)[0]
         assert s.first == MonthIndex(2001, 7)
         assert len(s) == 12
 
-    def test_batch_rep0_equals_generate(self):
+    def test_batch_rep0_is_the_one_replicate_batch(self):
         spec = Ar1Spec(0.6, 0.1, 0.2, 120, seed=9)
-        assert np.array_equal(generate_batch(spec, 4)[0].values, generate(spec).values)
+        assert generate_batch(spec, 4)[0] == generate_batch(spec, 1)[0]
 
     def test_batch_is_a_pure_function_of_seed_and_rep(self):
         """Replicate k must not depend on how many replicates were asked for."""
@@ -93,13 +92,13 @@ class TestGenerate:
             generate_batch(Ar1Spec(0.4, 0.1, 0.0, 60, seed=11), 0)
 
     def test_noiseless_spec_is_an_exact_line(self):
-        s = generate(Ar1Spec(0.0, 0.0, 0.12, 240, seed=5))
+        s = generate_batch(Ar1Spec(0.0, 0.0, 0.12, 240, seed=5), 1)[0]
         f = fit(s)
         assert abs(f.slope_per_decade - 0.120) < 1e-12
         assert np.all(np.abs(f.residuals) < 1e-12)
 
     def test_white_noise_has_negligible_autocorrelation(self):
-        f = fit(generate(Ar1Spec(0.0, 0.1, 0.0, 5000, seed=6)))
+        f = fit(generate_batch(Ar1Spec(0.0, 0.1, 0.0, 5000, seed=6), 1)[0])
         assert abs(f.r1) < 0.05
 
     def test_fitted_r1_tracks_phi(self):
@@ -123,7 +122,7 @@ class TestGenerate:
     def test_stationary_marginal_variance(self):
         """Long-run noise variance approaches sigma^2 / (1 - phi^2)."""
         spec = Ar1Spec(0.6, 0.1, 0.0, 50_000, seed=8)
-        sample_var = float(np.var(generate(spec).values))
+        sample_var = float(np.var(generate_batch(spec, 1)[0].values))
         target = 0.1**2 / (1.0 - 0.6**2)
         assert sample_var == pytest.approx(target, rel=0.05)
 

@@ -23,7 +23,6 @@ from trendsig import (
     MonthlySeries,
     compare,
     fit,
-    generate,
     generate_batch,
     mc,
 )
@@ -120,7 +119,7 @@ noisy_specs = st.builds(
 
 
 def fits_of(spec, *transforms):
-    s = generate(spec)
+    s = generate_batch(spec, 1)[0]
     try:
         return fit_batch(s.months, np.vstack([f(s.values) for f in transforms]))
     except ComputationError:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trendsig import MonthIndex, MonthlySeries, align, difference, fit, truncate
+from trendsig import MonthIndex, MonthlySeries, difference, fit, truncate
 from trendsig.errors import (
     BadWindow,
     DuplicateMonth,
@@ -82,12 +82,10 @@ class TestMonthlySeries:
 
     def test_from_start_is_gap_free(self):
         s = MonthlySeries.from_start("x", MonthIndex(1999, 11), [1.0, 2.0, 3.0])
-        assert [str(m) for m, _ in s.points] == ["1999:11", "1999:12", "2000:01"]
-
-    def test_from_points_round_trip(self):
-        pts = [(MonthIndex(1979, 1), 0.12), (MonthIndex(1979, 3), -0.05)]
-        s = MonthlySeries.from_points("x", pts)
-        assert s.points == pts
+        assert [str(MonthIndex.from_ordinal(m)) for m in s.months] == [
+            "1999:11", "1999:12", "2000:01"
+        ]
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_equality_is_by_content(self):
         a = MonthlySeries.from_start("x", MonthIndex(1979, 1), [1.0, 2.0])
@@ -135,38 +133,6 @@ def test_truncate_rejects_inverted_window():
         truncate(s, MonthIndex(2000, 1), MonthIndex(1999, 1))
 
 
-def test_align_identical_sets_unchanged():
-    a = make_line("a", 0.1, n=24)
-    b = make_line("b", 0.3, n=24)
-    aa, bb = align(a, b)
-    assert aa == a
-    assert bb == b
-
-
-def test_align_drops_months_missing_from_either():
-    a = MonthlySeries.from_points(
-        "a",
-        [
-            (MonthIndex(1990, 4), 1.0),
-            (MonthIndex(1990, 6), 2.0),
-            (MonthIndex(1990, 7), 3.0),
-        ],
-    )
-    b = MonthlySeries.from_start("b", MonthIndex(1990, 4), [10.0, 20.0, 30.0, 40.0])
-    aa, bb = align(a, b)
-    # 1990:05 absent from a, so both outputs lack it
-    kept = [MonthIndex(1990, 4), MonthIndex(1990, 6), MonthIndex(1990, 7)]
-    assert [m for m, _ in aa.points] == kept
-    assert [v for _, v in bb.points] == [10.0, 30.0, 40.0]
-
-
-def test_align_disjoint_ranges_gives_empty_pair():
-    a = make_line("a", 0.1, n=12, start=MonthIndex(1980, 1))
-    b = make_line("b", 0.1, n=12, start=MonthIndex(1990, 1))
-    aa, bb = align(a, b)
-    assert len(aa) == 0 and len(bb) == 0
-
-
 def test_difference_of_series_with_itself_is_zero():
     a = make_line("a", 0.1, n=36)
     d = difference(a, a)
@@ -189,10 +155,24 @@ def test_difference_slope_subtracts():
 
 
 def test_difference_antisymmetry():
+    """On any two month axes, a - b keeps the months both share, in order."""
     rng = np.random.default_rng(7)
-    a = MonthlySeries.from_start("a", MonthIndex(1979, 1), rng.standard_normal(48))
-    b = MonthlySeries.from_start("b", MonthIndex(1979, 1), rng.standard_normal(48))
-    assert np.array_equal(difference(a, b).values, -difference(b, a).values)
+    full = MonthIndex(1979, 1).ordinal + np.arange(48)
+    axes = [
+        (full, full, 48),  # identical months
+        (full[[0, 2, 3, 9, 40, 46]], full[:-3], 5),  # months missing from either side
+        (full[:12], full[24:], 0),  # disjoint ranges
+    ]
+    for a_months, b_months, common in axes:
+        a = MonthlySeries("a", a_months, rng.standard_normal(a_months.size))
+        b = MonthlySeries("b", b_months, rng.standard_normal(b_months.size))
+        d = difference(a, b)
+        by_month = dict(zip(b.months.tolist(), b.values.tolist()))
+        kept = [(m, v - by_month[m]) for m, v in zip(a.months.tolist(), a.values.tolist())
+                if m in by_month]
+        assert len(kept) == common
+        assert list(zip(d.months.tolist(), d.values.tolist())) == kept
+        assert np.array_equal(d.values, -difference(b, a).values)
 
 
 def test_fit_distributes_over_difference_on_common_axis():

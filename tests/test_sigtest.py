@@ -54,6 +54,10 @@ class TestEnsembleStats:
     def test_zero_spread_is_legal(self):
         assert EnsembleStats(0.2, 0.0, 1).inter_model_sd == 0.0
 
+    def test_rejects_n_models_without_a_float_value(self):
+        with pytest.raises(InputError, match="n_models is too large"):
+            EnsembleStats(0.2, 0.1, 10**400)
+
 
 class TestD1Star:
     def test_equal_trends_give_zero(self):
@@ -65,6 +69,11 @@ class TestD1Star:
         assert d1_star(EnsembleStats(0.3, 0.2, 4), 0.1, 0.0) == pytest.approx(
             2.0, abs=1e-12
         )
+        # Spreads and se whose squares overflow or underflow.
+        for spread, se, d1 in [
+            (2e300, 0.0, 2e-301), (0.0, 1e300, 2e-301), (2e-170, 0.0, 2e169), (0.0, 1e-170, 2e169)
+        ]:
+            assert d1_star(EnsembleStats(0.3, spread, 4), 0.1, se) == pytest.approx(d1)
 
     def test_both_spreads_zero_rejected(self):
         with pytest.raises(ZeroDenominator):

@@ -11,7 +11,7 @@ from trendsig.errors import (
     NonFiniteInput,
     TooFewPoints,
 )
-from trendsig.mc import Ar1Spec, generate, generate_batch
+from trendsig.mc import Ar1Spec, generate_batch
 from trendsig.trend import TrendFit, fit_batch
 
 
@@ -21,7 +21,7 @@ WAVE = np.cos(2 * np.pi * np.arange(24) / 24)
 
 
 def ar1_series(phi, n, seed, sigma=0.1, trend=0.0):
-    return generate(Ar1Spec(phi, sigma, trend, n, seed=seed))
+    return generate_batch(Ar1Spec(phi, sigma, trend, n, seed=seed), 1)[0]
 
 
 class TestFit:
