@@ -8,9 +8,14 @@ row is skipped.  Months must appear in increasing order with no repeats.
 Numbers use Python ``int()``/``float()`` syntax, so whitespace around a
 field and ``_`` digit separators are accepted.  A missing-value row still
 needs a valid year and month: an integer year whose month number
-``12 * year + month`` fits in int64, and a month in 1..12.  When several
-rows are malformed, the error names the first failing line, and within
-that line the first failing check.
+``12 * year + month`` fits in int64, and a month in 1..12.
+
+Reading takes one of two paths.  A plain file (3 fields on every row,
+exact ``NA`` markers, years well inside the month axis; see
+``_read_plain``) is read column-wise in one pass.  Any other file is read
+again row by row by ``_read_rows``, which defines what a valid file is:
+its error names the first failing line and, within that line, the first
+failing check.
 
 Registry format: an INI-style text file (human-diffable) with one section
 per dataset and per comparison::
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,11 +72,8 @@ DATASET_KINDS = frozenset(
 COMPARISON_MODES = ("trend", "lapse")
 
 _MISSING_VALUES = ("", "NA")
-_INT64 = np.iinfo(np.int64)
-# For month m, the years _YEAR_LO[m].._YEAR_HI[m] have an ordinal
-# 12 * year + m that fits in int64.
-_YEAR_LO = np.array([-((m - _INT64.min) // 12) for m in range(13)])
-_YEAR_HI = np.array([(_INT64.max - m) // 12 for m in range(13)])
+# Years the plain-file reader takes: 12 * year + month stays far inside int64.
+_PLAIN_YEARS = 10**15
 
 
 @dataclass(frozen=True)
@@ -139,161 +142,101 @@ def read_series(path, name: str | None = None) -> MonthlySeries:
     or empty are skipped.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(_read_text(path, "series"), newline=""))
+    text = _read_text(path, "series")
+    name = name if name is not None else path.stem
+    try:
+        return _read_plain(text, name)
+    except (ValueError, OverflowError, csv.Error, InputError):
+        return _read_rows(text, name, path)
+
+
+def _read_plain(text: str, name: str) -> MonthlySeries:
+    """The series of a plain file, or an exception where the file is not plain.
+
+    A plain file has 3 fields on every row, a header only as its first row,
+    years and months that ``int`` reads, months in 1..12 and |year| at most
+    ``_PLAIN_YEARS``, and values that are exactly ``NA``, empty, or finite
+    numbers ``float`` reads; repeated or out-of-order months make the
+    :class:`MonthlySeries` constructor raise.  :func:`_read_rows` reads
+    every other file.
+    """
     fields: list[str] = []
-    widths: list[int] = []
-    lines: list[int] = []
-    error: InputError | None = None  # the failure of the earliest failing row
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if len(row) != 3:
+            raise ValueError("not 3 fields")
+        fields += row
+    cells = np.array(fields, dtype=object).reshape(-1, 3)
+    try:
+        float(fields[0] if fields else "0")
+    except ValueError:
+        cells = cells[1:]  # a header row
+    year, month = cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
+    if np.any((month < 1) | (month > 12) | (year < -_PLAIN_YEARS) | (year > _PLAIN_YEARS)):
+        raise ValueError("month or year out of range")
+    missing = np.isin(cells[:, 2], _MISSING_VALUES)
+    value = np.where(missing, "nan", cells[:, 2]).astype(np.float64)
+    keep = np.isfinite(value)
+    if not np.array_equal(keep, ~missing):
+        raise ValueError("non-finite value")
+    return MonthlySeries(name, 12 * year[keep] + month[keep], value[keep])
+
+
+def _read_rows(text: str, name: str, path: Path) -> MonthlySeries:
+    """Read ``text`` row by row: the series, or the error of the first
+    failing line, and within that line of its first failing check."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    months: list[int] = []
+    values: list[float] = []
+    header_possible = True
     try:
         for row in reader:
-            fields += row
-            widths.append(len(row))
-            lines.append(reader.line_num)
-    except csv.Error as exc:
-        error = ParseError(f"{path}, line {reader.line_num}: {exc}")
-
-    width = np.array(widths, dtype=np.intp)
-    year_s, month_s, value_s = _columns(fields, width)
-    years, year_bad = _parse(int, year_s, 0)
-    months, month_bad = _parse(int, month_s, 0)
-    values, value_bad = _parse(float, value_s, 0.0)
-
-    # A blank row has no integer year; the first other row is a header if
-    # its first field is not a number.
-    skip = _blank_rows(fields, width, year_bad)
-    data = np.flatnonzero(~skip)
-    if data.size:
-        try:
-            float(year_s[data[0]])
-        except ValueError:
-            skip[data[0]] = True
-    missing = np.zeros_like(value_bad)  # a missing value is never a number
-    missing[value_bad] = [
-        value_s[i].strip() in _MISSING_VALUES for i in np.flatnonzero(value_bad)
-    ]
-
-    year, month = _int64(years), _int64(months)
-    value = np.array(values, dtype=np.float64)
-    table_month = np.clip(month, 0, 12)  # a row with a bad month fails before
-    # Each row's checks in the order they apply to it.  A check looks only
-    # at rows before the earliest failure so far, so the first failing row
-    # wins, and within that row the first failing check.
-    checks = [
-        (
-            width != 3,
-            lambda i: ParseError(
-                f"{path}, line {lines[i]}: expected 3 fields (year,month,value), "
-                f"got {widths[i]}"
-            ),
-        ),
-        (
-            year_bad | month_bad,
-            lambda i: ParseError(
-                f"{path}, line {lines[i]}: year and month must be integers"
-            ),
-        ),
-        (
-            (month < 1) | (month > 12),
-            lambda i: MonthOutOfRange(
-                f"{path}, line {lines[i]}: month must be in 1..12, got {months[i]}"
-            ),
-        ),
-        (
-            (year < _YEAR_LO[table_month]) | (year > _YEAR_HI[table_month]),
-            lambda i: ParseError(f"{path}, line {lines[i]}: year {years[i]} out of range"),
-        ),
-        (
-            value_bad & ~missing,
-            lambda i: ParseError(
-                f"{path}, line {lines[i]}: cannot parse value {value_s[i].strip()!r}"
-            ),
-        ),
-        (
-            ~np.isfinite(value),
-            lambda i: ParseError(
-                f"{path}, line {lines[i]}: non-finite value {value_s[i].strip()!r}"
-            ),
-        ),
-    ]
-    first = width.size
-    for bad, failure in checks:
-        hit = np.flatnonzero(bad[:first] & ~skip[:first])
-        if hit.size:
-            first = int(hit[0])
-            error = failure(first)
-
-    # Months must increase across the rows that carry a value.
-    kept = np.flatnonzero(~(skip | missing)[:first])
-    ordinal = 12 * year[kept] + month[kept]
-    step = np.flatnonzero(ordinal[1:] <= ordinal[:-1])
-    if step.size:
-        i = int(kept[step[0] + 1])
-        if ordinal[step[0] + 1] == ordinal[step[0]]:
-            month_name = MonthIndex(years[i], months[i])
-            error = DuplicateMonth(f"{path}, line {lines[i]}: month {month_name} repeated")
-        else:
-            error = ParseError(f"{path}, line {lines[i]}: months out of order")
-    if error is not None:
-        raise error
-    return MonthlySeries(name if name is not None else path.stem, ordinal, value[kept])
-
-
-def _columns(
-    fields: list[str], width: np.ndarray
-) -> tuple[list[str], list[str], list[str]]:
-    """The first three of each row's ``width`` fields, ``""`` where it has fewer."""
-    if (width == 3).all():
-        return fields[0::3], fields[1::3], fields[2::3]
-    cells = np.array([*fields, ""], dtype=object)
-    start = np.cumsum(width) - width
-    year, month, value = (
-        cells[np.where(width > k, start + k, len(fields))].tolist() for k in range(3)
-    )
-    return year, month, value
-
-
-def _parse(conv, texts: list[str], fill) -> tuple[list, np.ndarray]:
-    """``conv(text.strip())`` of every text, or ``fill`` where that raises
-    ValueError, and the mask of the texts where it did.
-
-    ``int`` and ``float`` ignore the whitespace around a number except
-    the separators U+001C..U+001F, which ``str.strip`` removes, so only a
-    text that fails is stripped and converted again.
-    """
-    out: list = []
-    failed: list[int] = []
-    numbers = map(conv, texts)
-    while len(out) < len(texts):
-        try:
-            out.extend(numbers)  # keeps the numbers before a failing text
-        except ValueError:
+            line = reader.line_num
+            if all(not f.strip() for f in row):
+                continue  # a blank row
+            if header_possible:
+                header_possible = False
+                try:
+                    float(row[0])
+                except ValueError:
+                    continue  # a header row
+            if len(row) != 3:
+                raise ParseError(
+                    f"{path}, line {line}: expected 3 fields (year,month,value), "
+                    f"got {len(row)}"
+                )
+            year_s, month_s, value_s = (f.strip() for f in row)
             try:
-                out.append(conv(texts[len(out)].strip()))
+                year, month = int(year_s), int(month_s)
             except ValueError:
-                failed.append(len(out))
-                out.append(fill)
-    bad = np.zeros(len(texts), dtype=bool)
-    bad[failed] = True
-    return out, bad
-
-
-def _blank_rows(fields: list[str], width: np.ndarray, suspect: np.ndarray) -> np.ndarray:
-    """The ``suspect`` rows whose fields are all whitespace."""
-    field_index = np.flatnonzero(np.repeat(suspect, width))
-    filled = np.array([bool(fields[j].strip()) for j in field_index], dtype=bool)
-    blank = suspect.copy()
-    row_end = np.cumsum(width)
-    blank[np.searchsorted(row_end, field_index[filled], side="right")] = False
-    return blank
-
-
-def _int64(numbers: list[int]) -> np.ndarray:
-    """``numbers`` as int64, any beyond its range clipped to its bounds."""
-    try:
-        return np.array(numbers, dtype=np.int64)
-    except OverflowError:
-        clipped = np.clip(np.array(numbers, dtype=object), _INT64.min, _INT64.max)
-        return clipped.astype(np.int64)
+                raise ParseError(
+                    f"{path}, line {line}: year and month must be integers"
+                ) from None
+            try:
+                idx = MonthIndex(year, month)
+            except MonthOutOfRange as exc:
+                raise MonthOutOfRange(f"{path}, line {line}: {exc}") from None
+            ordinal = idx.ordinal
+            if not -(2**63) <= ordinal < 2**63:  # the int64 month axis
+                raise ParseError(f"{path}, line {line}: year {year} out of range")
+            if value_s in _MISSING_VALUES:
+                continue
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise ParseError(
+                    f"{path}, line {line}: cannot parse value {value_s!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}, line {line}: non-finite value {value_s!r}")
+            if months and ordinal <= months[-1]:
+                if ordinal == months[-1]:
+                    raise DuplicateMonth(f"{path}, line {line}: month {idx} repeated")
+                raise ParseError(f"{path}, line {line}: months out of order")
+            months.append(ordinal)
+            values.append(value)
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+    return MonthlySeries(name, months, values)
 
 
 def write_series(s: MonthlySeries, path) -> None:

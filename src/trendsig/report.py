@@ -155,9 +155,15 @@ def run_comparison(spec: ComparisonSpec, registry: Registry) -> TableRow:
     return run_comparisons([spec], registry)[0]
 
 
+# A number whose fixed-point form is longer than this prints in exponent
+# notation, so a huge but valid d1* keeps the table's columns narrow.
+_FIXED_WIDTH = 12
+
+
 def _fmt(value: float, decimals: int) -> str:
     # round() first so a tiny negative like -0.0004 prints 0.000, not -0.000
-    return f"{round(value, decimals) + 0.0:.{decimals}f}"
+    fixed = f"{round(value, decimals) + 0.0:.{decimals}f}"
+    return fixed if len(fixed) <= _FIXED_WIDTH else f"{value:.{decimals}e}"
 
 
 def _cells(row: TableRow) -> tuple[str, ...]:

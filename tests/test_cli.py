@@ -257,7 +257,8 @@ def test_simulate_rejects_non_finite_inputs_up_front(flag, value, message):
 )
 def test_extreme_ensemble_inputs_end_cleanly(fixture_dir, tmp_path, sd, n_models, error):
     """A spread whose square overflows or underflows still gives a verdict, a
-    zero-se fit included; an ensemble too large for a float is an input error."""
+    zero-se fit included, and a huge d1* keeps the table and CSV lines short;
+    an ensemble too large for a float is an input error."""
     sat = str(fixture_dir / "sat_a.csv")
     ensemble = ("--ensemble-trend", "0.2", "--ensemble-sd", sd, "--n-models", n_models)
     registry = tmp_path / "registry.ini"
@@ -270,12 +271,14 @@ def test_extreme_ensemble_inputs_end_cleanly(fixture_dir, tmp_path, sd, n_models
     )
     runs = [
         (("lapse", sat, sat, *ensemble), ""),
+        (("lapse", sat, sat, *ensemble, "--format", "csv"), ""),
         (("compare", "--registry", str(registry)), "[comparison:sat_trend] "),
     ]
     for args, prefix in runs:
         result = run_cli(*args)
         if error is None:
             assert (result.returncode, result.stderr) == (0, "")
+            assert max(map(len, result.stdout.splitlines())) <= 100
         else:
             assert (result.returncode, result.stderr) == (1, f"error: {prefix}{error}\n")
 

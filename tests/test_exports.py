@@ -2,7 +2,8 @@
 
 A name that moves between modules must leave every ``__all__`` that
 listed it; ``from <module> import *`` raises on any name that does not
-resolve.  A name that loses its last use must also lose its import.
+resolve.  A name that loses its last use must also lose its import, and
+a private helper that loses its last caller must go.
 """
 
 import ast
@@ -53,3 +54,30 @@ def test_every_imported_name_is_used_or_exported():
                 if name not in used:
                     dead.append(f"{path.name}:{node.lineno}: {name}")
     assert not dead, f"imported but never used: {dead}"
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    """A module-level private function, class or constant is used in the
+    module that defines it, so a helper that loses its last caller goes too."""
+    dead = []
+    for path in sorted(Path(trendsig.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = node.lineno
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        dead += [f"{path.name}:{n}: {name}" for name, n in defined.items() if name not in used]
+    assert not dead, f"private names never used in their module: {dead}"

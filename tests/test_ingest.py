@@ -19,6 +19,7 @@ from trendsig import (
     truncate,
     write_series,
 )
+from trendsig import ingest
 from trendsig.errors import (
     BadSpec,
     BadWindow,
@@ -189,20 +190,8 @@ class TestReadSeries:
             assert np.array_equal(np.signbit(back.values), np.signbit(series.values))
 
     def test_long_round_trip_with_missing_rows_and_a_gap(self, tmp_path):
-        rng = np.random.default_rng(11)
-        axis = MonthIndex(1850, 1).ordinal + np.arange(120_000)
-        gap = (axis >= MonthIndex(1900, 1).ordinal) & (axis < MonthIndex(1904, 7).ordinal)
-        na = (rng.random(axis.size) < 0.01) & ~gap
-        keep = ~gap & ~na
-        original = MonthlySeries("long", axis[keep], rng.standard_normal(keep.sum()))
         path = tmp_path / "long.csv"
-        write_series(original, path)
-        header, *body = path.read_text(encoding="utf-8").splitlines()
-        na_months = [MonthIndex.from_ordinal(o) for o in axis[na].tolist()]
-        na_rows = [(m.ordinal, f"{m.year},{m.month},NA") for m in na_months]
-        rows = sorted([*zip(original.months.tolist(), body), *na_rows])
-        path.write_text("\n".join([header, *(r for _, r in rows)]) + "\n", encoding="utf-8")
-        assert len(rows) == 120_000 - gap.sum()
+        original = write_long_file(path)
         assert read_series(path) == original
 
     def test_first_failing_line_wins_over_a_later_field_count(self, tmp_path):
@@ -247,9 +236,28 @@ class TestReadSeries:
         assert s.months.tolist() == [2**63 - 1]
 
 
+def write_long_file(path):
+    """Write 120k months from 1850 on as a series file with a header row,
+    about 1 % ``NA`` rows and a 4.5-year gap; return the series it holds."""
+    rng = np.random.default_rng(11)
+    axis = MonthIndex(1850, 1).ordinal + np.arange(120_000)
+    gap = (axis >= MonthIndex(1900, 1).ordinal) & (axis < MonthIndex(1904, 7).ordinal)
+    na = (rng.random(axis.size) < 0.01) & ~gap
+    keep = ~gap & ~na
+    original = MonthlySeries("long", axis[keep], rng.standard_normal(keep.sum()))
+    write_series(original, path)
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    na_months = [MonthIndex.from_ordinal(o) for o in axis[na].tolist()]
+    na_rows = [(m.ordinal, f"{m.year},{m.month},NA") for m in na_months]
+    rows = sorted([*zip(original.months.tolist(), body), *na_rows])
+    path.write_text("\n".join([header, *(r for _, r in rows)]) + "\n", encoding="utf-8")
+    assert len(rows) == 120_000 - gap.sum()
+    return original
+
+
 def row_reader(path, name=None):
-    """The row-by-row series reader that ``read_series`` replaced, kept as
-    the reference it must agree with: same series or same error."""
+    """A straightforward row-by-row series reader, the reference that ``read_series``
+    must agree with on every file: same series or same error."""
     path = Path(path)
     text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -285,6 +293,8 @@ def row_reader(path, name=None):
                 idx = MonthIndex(year, month)
             except MonthOutOfRange as exc:
                 raise MonthOutOfRange(f"{path}, line {line}: {exc}") from None
+            if not -(2**63) <= idx.ordinal < 2**63:
+                raise ParseError(f"{path}, line {line}: year {year} out of range")
             if value_s in ("", "NA"):
                 continue
             try:
@@ -313,6 +323,8 @@ def row_reader(path, name=None):
 TOKENS = (
     "1979", " 1981 ", "1_979", "+1980", "1979.0", "x", "", "0", "13",
     "NA", "nan", "inf", "oops",
+    # years at and beyond the int64 ends of the month axis
+    "99999999999999999999", "768614336404564650", "-768614336404564651",
 )
 YEARS = st.sampled_from(TOKENS)
 MONTHS = st.sampled_from(TOKENS + ("1", " 2 ", "+3", "1_2", "\x1c4"))
@@ -343,6 +355,30 @@ def series_files(draw):
     return newline.join(rows) + draw(st.sampled_from(["", newline]))
 
 
+PLAIN_VALUES = st.sampled_from(["0.25", "-1.5", "3", "-0.0", "1e-300", " 0.5 ", "NA", ""])
+
+
+@st.composite
+def plain_files(draw):
+    """Mostly plain CSV text: an optional header, increasing months with
+    gaps, ``NA`` and empty values, and years written as ``int`` reads them.
+    Some files carry a whitespace-only row, first or among the data."""
+    rows = ["year,month,value"] if draw(st.booleans()) else []
+    # the fast path reads years up to 10**15
+    first_year = draw(st.sampled_from([-2, 1979, 1979, 1979, 10**15 - 1, 10**15]))
+    year_text = draw(st.sampled_from(["{}", " {} ", "{:+}", "{:_}"]))
+    ordinal = MonthIndex(first_year, 1).ordinal
+    for _ in range(draw(st.integers(0, 30))):
+        ordinal += draw(st.sampled_from([1, 1, 1, 2, 25]))
+        m = MonthIndex.from_ordinal(ordinal)
+        rows.append(f"{year_text.format(m.year)},{m.month},{draw(PLAIN_VALUES)}")
+    if draw(st.integers(0, 4)) == 0:
+        blank = draw(st.sampled_from(["", " ", " , , ", ",,"]))
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
 def outcome(reader, path):
     try:
         s = reader(path)
@@ -356,11 +392,35 @@ def generated_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("generated") / "series.csv"
 
 
+@pytest.mark.parametrize("files", [series_files(), plain_files()], ids=["awkward", "plain"])
 @settings(max_examples=300, deadline=None)
-@given(text=series_files())
-def test_column_reader_agrees_with_row_reader(generated_csv, text):
+@given(data=st.data())
+def test_read_series_agrees_with_row_reader(generated_csv, files, data):
+    text = data.draw(files, label="text")
     generated_csv.write_bytes(text.encode("utf-8"))
     assert outcome(read_series, generated_csv) == outcome(row_reader, generated_csv)
+    try:
+        plain = ingest._read_plain(text, "series")
+    except (ValueError, OverflowError, csv.Error, InputError):
+        return
+    assert plain == ingest._read_rows(text, "series", generated_csv)
+
+
+def test_plain_files_never_fall_back_to_the_row_reader(monkeypatch, tmp_path, fixture_dir):
+    """A file written by ``write_series``, with ``NA`` rows and a gap, stays
+    on the fast path, as do the 366-month fixture files; a fast path
+    that always gave up would pass every other test and only run slower."""
+    long_path = tmp_path / "long.csv"
+    expected = {long_path: write_long_file(long_path)}
+    expected |= {path: row_reader(path) for path in sorted(fixture_dir.glob("*.csv"))}
+    assert len(expected) == 4
+
+    def no_fallback(text, name, path):
+        raise AssertionError(f"{path} fell back to the row reader")
+
+    monkeypatch.setattr(ingest, "_read_rows", no_fallback)
+    for path, series in expected.items():
+        assert read_series(path) == series
 
 
 class TestReadRegistry:
