@@ -185,12 +185,15 @@ def _read_rows(text: str, name: str, path: Path) -> MonthlySeries:
     """Read ``text`` row by row: the series, or the error of the first
     failing line, and within that line of its first failing check."""
     reader = csv.reader(io.StringIO(text, newline=""))
+
+    def error(message, kind=ParseError) -> InputError:
+        return kind(f"{path}, line {reader.line_num}: {message}")
+
     months: list[int] = []
     values: list[float] = []
     header_possible = True
     try:
         for row in reader:
-            line = reader.line_num
             if all(not f.strip() for f in row):
                 continue  # a blank row
             if header_possible:
@@ -200,42 +203,33 @@ def _read_rows(text: str, name: str, path: Path) -> MonthlySeries:
                 except ValueError:
                     continue  # a header row
             if len(row) != 3:
-                raise ParseError(
-                    f"{path}, line {line}: expected 3 fields (year,month,value), "
-                    f"got {len(row)}"
-                )
+                raise error(f"expected 3 fields (year,month,value), got {len(row)}")
             year_s, month_s, value_s = (f.strip() for f in row)
             try:
                 year, month = int(year_s), int(month_s)
             except ValueError:
-                raise ParseError(
-                    f"{path}, line {line}: year and month must be integers"
-                ) from None
-            try:
-                idx = MonthIndex(year, month)
-            except MonthOutOfRange as exc:
-                raise MonthOutOfRange(f"{path}, line {line}: {exc}") from None
-            ordinal = idx.ordinal
+                raise error("year and month must be integers") from None
+            if not 1 <= month <= 12:
+                raise error(f"month must be in 1..12, got {month}", MonthOutOfRange)
+            ordinal = 12 * year + month
             if not -(2**63) <= ordinal < 2**63:  # the int64 month axis
-                raise ParseError(f"{path}, line {line}: year {year} out of range")
+                raise error(f"year {year} out of range")
             if value_s in _MISSING_VALUES:
                 continue
             try:
                 value = float(value_s)
             except ValueError:
-                raise ParseError(
-                    f"{path}, line {line}: cannot parse value {value_s!r}"
-                ) from None
+                raise error(f"cannot parse value {value_s!r}") from None
             if not math.isfinite(value):
-                raise ParseError(f"{path}, line {line}: non-finite value {value_s!r}")
+                raise error(f"non-finite value {value_s!r}")
             if months and ordinal <= months[-1]:
                 if ordinal == months[-1]:
-                    raise DuplicateMonth(f"{path}, line {line}: month {idx} repeated")
-                raise ParseError(f"{path}, line {line}: months out of order")
+                    raise error(f"month {MonthIndex(year, month)} repeated", DuplicateMonth)
+                raise error("months out of order")
             months.append(ordinal)
             values.append(value)
     except csv.Error as exc:
-        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+        raise error(exc) from None
     return MonthlySeries(name, months, values)
 
 

@@ -9,8 +9,8 @@ those whose two-sided p-value is at most ``alpha``.
 
 Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
 :func:`size_power` fits each chunk once with :func:`~trendsig.trend.fit_batch`
-and tests it at every true trend in one :func:`~trendsig.sigtest.compare`
-call, the functions that test a single observed series.
+and tests it at every true trend in one call each of the two kernels that
+:func:`~trendsig.sigtest.compare` wraps, ``d1_star`` and ``p_values``.
 Its working memory is therefore a few ``CHUNK_ROWS x n`` float matrices
 (about 3 MB each at n = 360), whatever the replicate count.
 
@@ -23,14 +23,14 @@ depend on execution order or on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ComputationError, InputError
 from .series import MonthIndex, MonthlySeries
-from .sigtest import EnsembleStats, compare
+from .sigtest import EnsembleStats, d1_star, p_values
 
 # ``fit`` is unused here, but perfbench's tracer and its tests patch
 # trendsig.mc.fit, so the name must exist.
@@ -170,14 +170,10 @@ def size_power(
             if exc.row is None:
                 raise
             raise type(exc)(f"replicate {first + exc.row}: {exc}") from exc
-        # Adding c * arange(n) moves only the slope (by exactly c) and the
-        # intercept; residuals, r1, n_eff, se and df are the noise's own.
-        slope = f.slope_per_month + per_month
-        shifted = replace(
-            f, slope_per_month=slope, slope_per_decade=MONTHS_PER_DECADE * slope,
-            intercept=f.intercept - per_month * months[0],
-        )
-        rejections += np.count_nonzero(compare(ens, shifted).p_two_sided <= alpha, axis=1)
+        # Adding c * arange(n) moves the slope by exactly c (and the intercept,
+        # which the test does not read); se and df are the noise's own.
+        stat = d1_star(ens, MONTHS_PER_DECADE * (f.slope_per_month + per_month), f.se_slope)
+        rejections += np.count_nonzero(p_values(stat, f.df)[1] <= alpha, axis=1)
 
     rates = [r / reps for r in rejections.tolist()]
     curve = [(float(g), rate) for g, rate in zip(trend_gaps, rates[1:])]

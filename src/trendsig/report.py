@@ -9,6 +9,7 @@ re-run on current data need not match archived numbers.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -199,13 +200,14 @@ def _render_text(rows: Sequence[TableRow]) -> str:
 
 def _render_csv(rows: Sequence[TableRow]) -> str:
     out = io.StringIO()
-    out.write(
-        "surface,satellite,ensemble_trend,observed_trend,"
-        "d1,percentile,two_sided,one_sided,best_effort\n"
-    )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow((
+        "surface", "satellite", "ensemble_trend", "observed_trend",
+        "d1", "percentile", "two_sided", "one_sided", "best_effort",
+    ))
     for row in rows:
         flag = "1" if row.best_effort else "0"
-        out.write(",".join((row.surface or "", row.satellite, *_cells(row), flag)) + "\n")
+        writer.writerow((row.surface or "", row.satellite, *_cells(row), flag))
     return out.getvalue()
 
 

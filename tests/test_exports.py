@@ -81,3 +81,31 @@ def test_every_private_module_name_is_used_in_its_module():
         }
         dead += [f"{path.name}:{n}: {name}" for name, n in defined.items() if name not in used]
     assert not dead, f"private names never used in their module: {dead}"
+
+
+# Public names with no caller in the package, and what keeps each.
+PINNED = {
+    "generate_batch": "criteria 4 and 8 generate their series with it",
+    "t_cdf": "criterion 7 checks the scalar CDF against reference values",
+    "run_comparison": "perfbench's worker calls it; it goes when the worker moves "
+    "to run_comparisons",
+    "write_series": "the round-trip partner of read_series",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_pin():
+    """Each name in ``trendsig.__all__`` is loaded somewhere in the package
+    outside ``__init__.py``, or is pinned with a reason; a pinned name that
+    gains a caller must leave ``PINNED``, so the list cannot go stale."""
+    loaded = set()
+    for path in Path(trendsig.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loaded |= {
+                node.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+    public = {name for name in trendsig.__all__ if not name.startswith("__")}
+    assert set(PINNED) <= public, f"pinned but not public: {set(PINNED) - public}"
+    assert sorted(public - loaded) == sorted(PINNED)

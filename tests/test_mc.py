@@ -203,9 +203,9 @@ class TestSizePower:
             monkeypatch.setattr(mc, "CHUNK_ROWS", chunk)
             assert run() == reference
 
-    def test_each_chunk_is_fitted_and_compared_once(self, monkeypatch):
-        """Trend values share one noise fit: calls do not grow with gaps."""
-        calls = {"fit_batch": 0, "compare": 0}
+    def test_each_chunk_is_fitted_and_tested_once(self, monkeypatch):
+        """Trend values share one noise fit and one test: calls do not grow with gaps."""
+        calls = {"fit_batch": 0, "d1_star": 0, "p_values": 0}
 
         def counted(name):
             original = getattr(mc, name)
@@ -222,7 +222,7 @@ class TestSizePower:
             self.null_spec(), self.ens(), reps=2 * mc.CHUNK_ROWS, alpha=0.05,
             trend_gaps=[0.1, 0.2, 0.3],
         )
-        assert calls == {"fit_batch": 2, "compare": 2}
+        assert calls == {"fit_batch": 2, "d1_star": 2, "p_values": 2}
 
     def test_degenerate_replicate_is_named(self):
         spec = Ar1Spec(0.95, 0.1, 0.0, 12, seed=3)

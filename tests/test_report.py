@@ -287,6 +287,17 @@ class TestRender:
         assert rows[3][8] == "1" and rows[1][8] == "0"
         assert rows[4][3] == "0.000"  # negative-zero normalization
 
+    def test_csv_quotes_ids_with_commas_and_quotes(self):
+        """Dataset ids and file stems may hold any character a CSV field can."""
+        ids = [("UAH,T2LT", 'HAD"CRUT'), ("a,b", 'x"y,z'), (None, "plain")]
+        rows = [
+            dataclasses.replace(row, surface=surface, satellite=satellite)
+            for row, (surface, satellite) in zip(golden_rows(), ids)
+        ]
+        parsed = list(csv.reader(io.StringIO(render(rows, style="csv"))))
+        assert [len(r) for r in parsed] == [9] * 4
+        assert [(r[0], r[1]) for r in parsed[1:]] == [(s or "", t) for s, t in ids]
+
     def test_unknown_style_rejected(self):
         with pytest.raises(InputError):
             render([], style="html")
