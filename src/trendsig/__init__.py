@@ -6,7 +6,13 @@ fit least-squares trends with AR(1)-adjusted standard errors
 (:mod:`trendsig.sigtest`), and render comparison tables
 (:mod:`trendsig.report`).  :mod:`trendsig.mc` checks the test's actual
 size and power on synthetic autocorrelated data.
+
+Importing the package loads only :mod:`trendsig.errors`; every other name
+and submodule is imported on first use, so ``trendsig --help``, usage
+errors and unreadable input files are answered without numpy.
 """
+
+import importlib
 
 from .errors import (
     ComputationError,
@@ -14,32 +20,54 @@ from .errors import (
     InputError,
     TrendSigError,
 )
-from .ingest import (
-    ComparisonSpec,
-    DatasetEntry,
-    read_registry,
-    read_series,
-    write_series,
-)
-from .mc import Ar1Spec, SizePower, generate_batch, size_power
-from .report import (
-    TableRow,
-    comparison_row,
-    render,
-    run_comparison,
-    run_comparisons,
-    significance_marks,
-)
-from .series import MonthIndex, MonthlySeries, difference, truncate
-from .sigtest import (
-    EnsembleStats,
-    TestResult,
-    compare,
-    d1_star,
-    p_values,
-    t_cdf,
-)
-from .trend import TrendFit, effective_n, fit, fit_batch, lag1_autocorr
+
+# Every other public name, by the submodule that defines it; these names and
+# the submodules load on first access, through __getattr__ (PEP 562).
+_EXPORTS = {
+    "ComparisonSpec": "ingest",
+    "DatasetEntry": "ingest",
+    "read_registry": "ingest",
+    "read_series": "ingest",
+    "write_series": "ingest",
+    "Ar1Spec": "mc",
+    "SizePower": "mc",
+    "generate_batch": "mc",
+    "size_power": "mc",
+    "TableRow": "report",
+    "comparison_row": "report",
+    "render": "report",
+    "run_comparison": "report",
+    "run_comparisons": "report",
+    "significance_marks": "report",
+    "MonthIndex": "series",
+    "MonthlySeries": "series",
+    "difference": "series",
+    "truncate": "series",
+    "EnsembleStats": "sigtest",
+    "TestResult": "sigtest",
+    "compare": "sigtest",
+    "d1_star": "sigtest",
+    "p_values": "sigtest",
+    "t_cdf": "sigtest",
+    "TrendFit": "trend",
+    "effective_n": "trend",
+    "fit": "trend",
+    "fit_batch": "trend",
+    "lag1_autocorr": "trend",
+}
+_SUBMODULES = ("cli", "ingest", "mc", "report", "series", "sigtest", "textfile", "trend")
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -10,20 +10,25 @@ One executable, four subcommands:
 Exit codes: 0 on success, 1 for input problems (unreadable files, bad
 flags, malformed registries), 2 for numerical failures (degenerate fits,
 domain errors).
+
+Help, usage errors and unreadable input files are answered without
+importing numpy: each command imports its numeric modules only once it
+holds the text of its first input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ComputationError, InputError
-from .ingest import read_registry, read_series
-from .mc import Ar1Spec, size_power
-from .report import comparison_row, render, run_comparisons, size_power_csv
-from .series import MonthIndex, truncate
-from .sigtest import EnsembleStats
-from .trend import fit
+from .textfile import read_text
+
+if TYPE_CHECKING:
+    from .series import MonthIndex
+    from .sigtest import EnsembleStats
 
 __all__ = ["main"]
 
@@ -37,6 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _window(args) -> tuple[MonthIndex | None, MonthIndex | None]:
     """The ``--start``/``--end`` months; an absent flag leaves that end open."""
+    from .series import MonthIndex
+
     start = None if args.start is None else MonthIndex.parse(args.start)
     end = None if args.end is None else MonthIndex.parse(args.end)
     return start, end
@@ -55,7 +62,13 @@ def _gap_list(text: str) -> list[float]:
 
 
 def _cmd_fit(args) -> None:
-    series = truncate(read_series(args.series), *_window(args))
+    path = Path(args.series)
+    text = read_text(path, "series")
+    from .ingest import parse_series
+    from .series import truncate
+    from .trend import fit
+
+    series = truncate(parse_series(text, path), *_window(args))
     result = fit(series)
     print(f"series: {series.name}")
     print(f"window: {series.first} to {series.last}")
@@ -68,7 +81,12 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    datasets, comparisons = read_registry(args.registry)
+    path = Path(args.registry)
+    text = read_text(path, "registry")
+    from .ingest import parse_registry
+    from .report import render, run_comparisons
+
+    datasets, comparisons = parse_registry(text, path)
     if args.spec:
         by_id = {c.spec_id: c for c in comparisons}
         missing = [s for s in args.spec if s not in by_id]
@@ -81,13 +99,21 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_lapse(args) -> None:
-    surface = read_series(args.surface)
+    path = Path(args.surface)
+    text = read_text(path, "series")
+    from .ingest import parse_series, read_series
+    from .report import comparison_row, render
+
+    surface = parse_series(text, path)
     troposphere = read_series(args.troposphere)
     row = comparison_row(troposphere, _ensemble(args), _window(args), surface)
     print(render([row], style=args.format), end="")
 
 
 def _cmd_simulate(args) -> None:
+    from .mc import Ar1Spec, size_power
+    from .report import size_power_csv
+
     spec = Ar1Spec(
         phi=args.phi,
         sigma_innov=args.sigma,
@@ -126,6 +152,8 @@ def _add_ensemble_flags(parser: argparse.ArgumentParser, required: bool) -> None
 
 
 def _ensemble(args) -> EnsembleStats:
+    from .sigtest import EnsembleStats
+
     return EnsembleStats(args.ensemble_trend, args.ensemble_sd, args.n_models)
 
 

@@ -65,6 +65,17 @@ from .errors import (
 )
 from .series import MonthIndex, MonthlySeries
 from .sigtest import EnsembleStats
+from .textfile import read_text
+
+__all__ = [
+    "ComparisonSpec",
+    "DatasetEntry",
+    "parse_registry",
+    "parse_series",
+    "read_registry",
+    "read_series",
+    "write_series",
+]
 
 DATASET_KINDS = frozenset(
     {"satellite", "surface_landocean", "surface_ocean", "surface_land"}
@@ -122,19 +133,6 @@ class ComparisonSpec:
             )
 
 
-def _read_text(path: Path, what: str) -> str:
-    """The text of a UTF-8 file, without a leading byte-order mark."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    try:
-        return raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
-
-
 def read_series(path, name: str | None = None) -> MonthlySeries:
     """Load a monthly series from a ``year,month,value`` CSV file.
 
@@ -142,7 +140,14 @@ def read_series(path, name: str | None = None) -> MonthlySeries:
     or empty are skipped.
     """
     path = Path(path)
-    text = _read_text(path, "series")
+    return parse_series(read_text(path, "series"), path, name)
+
+
+def parse_series(text: str, path: Path, name: str | None = None) -> MonthlySeries:
+    """The series in ``text``, the contents of the series file ``path``.
+
+    ``name`` defaults to the file stem; errors name ``path`` and the line.
+    """
     name = name if name is not None else path.stem
     try:
         return _read_plain(text, name)
@@ -258,7 +263,14 @@ def read_registry(path) -> tuple[list[DatasetEntry], list[ComparisonSpec]]:
     dataset ids must resolve; dataset files themselves are not opened.
     """
     path = Path(path)
-    text = _read_text(path, "registry")
+    return parse_registry(read_text(path, "registry"), path)
+
+
+def parse_registry(
+    text: str, path: Path
+) -> tuple[list[DatasetEntry], list[ComparisonSpec]]:
+    """The datasets and comparisons in ``text``, the contents of the
+    registry file ``path``; relative dataset paths resolve against it."""
     parser = ConfigParser(interpolation=None, delimiters=("=",))
     try:
         parser.read_string(text, source=str(path))

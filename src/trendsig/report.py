@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BadSpec, DomainError, TrendSigError, UnknownDatasetId
 from .ingest import ComparisonSpec, DatasetEntry, read_series
-from .mc import Ar1Spec, SizePower
 from .series import MonthIndex, MonthlySeries, difference, truncate
 from .sigtest import EnsembleStats, compare
 from .trend import fit
+
+if TYPE_CHECKING:  # annotations only: compare and lapse need no Monte Carlo
+    from .mc import Ar1Spec, SizePower
 
 __all__ = [
     "TableRow",

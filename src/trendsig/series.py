@@ -15,6 +15,13 @@ import numpy as np
 
 from .errors import BadWindow, DuplicateMonth, InputError, MonthOutOfRange
 
+__all__ = [
+    "MonthIndex",
+    "MonthlySeries",
+    "difference",
+    "truncate",
+]
+
 
 @dataclass(frozen=True, order=True)
 class MonthIndex:

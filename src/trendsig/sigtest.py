@@ -32,6 +32,15 @@ import numpy as np
 from .errors import DomainError, InputError, NonFiniteInput, ZeroDenominator
 from .trend import TrendFit
 
+__all__ = [
+    "EnsembleStats",
+    "TestResult",
+    "compare",
+    "d1_star",
+    "p_values",
+    "t_cdf",
+]
+
 
 @dataclass(frozen=True)
 class EnsembleStats:

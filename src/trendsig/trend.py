@@ -39,6 +39,14 @@ from .errors import (
 )
 from .series import MonthlySeries
 
+__all__ = [
+    "TrendFit",
+    "effective_n",
+    "fit",
+    "fit_batch",
+    "lag1_autocorr",
+]
+
 MONTHS_PER_DECADE = 120
 
 # An exactly linear series leaves only rounding noise in the residuals;

@@ -359,6 +359,77 @@ def test_commands_load_no_scipy_or_numpy_polynomial(fixture_dir):
     assert result.returncode == 0, result.stderr
 
 
+def test_help_and_input_errors_load_no_numpy(fixture_dir, tmp_path):
+    """Help, usage errors and unreadable inputs are answered before numpy
+    loads; ``fit`` loads no Monte Carlo or report code, ``compare`` and
+    ``lapse`` no Monte Carlo code."""
+    missing = str(tmp_path / "absent.csv")
+    unread = f"{missing}: [Errno 2] No such file or directory: {missing!r}\n"
+    answered = [
+        (["--help"], 0, ""),
+        ([], 1, "error: the following arguments are required: command\n"),
+        (["fit", missing], 1, f"error: cannot read series file {unread}"),
+        (
+            ["lapse", missing, f"{fixture_dir}/sat_a.csv", *LAPSE_PAIR],
+            1,
+            f"error: cannot read series file {unread}",
+        ),
+        (["compare", "--registry", missing], 1, f"error: cannot read registry file {unread}"),
+    ]
+    computed = [
+        ([arg.format(d=fixture_dir) for arg in PINNED[name]], unloaded)
+        for name, unloaded in (
+            ("fit_window.txt", ["trendsig.mc", "trendsig.report"]),
+            ("compare.txt", ["trendsig.mc"]),
+            ("lapse.txt", ["trendsig.mc"]),
+        )
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from trendsig.cli import main\n"
+        "def run(argv):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    return code, err.getvalue()\n"
+        f"for argv, code, err in {answered!r}:\n"
+        "    got = run(argv)\n"
+        "    assert got == (code, err), (argv, got)\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"for argv, unloaded in {computed!r}:\n"
+        "    assert run(argv) == (0, ''), argv\n"
+        "    loaded = [m for m in unloaded if m in sys.modules]\n"
+        "    assert not loaded, (argv, loaded)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_lapse_reports_a_bad_surface_before_opening_the_troposphere(
+    fixture_dir, tmp_path, capsys
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1979,1\n", encoding="utf-8")
+    argv = ["lapse", str(bad), str(tmp_path / "absent.csv"), *LAPSE_PAIR]
+    assert main(argv) == 1
+    expected = f"error: {bad}, line 1: expected 3 fields (year,month,value), got 2\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_fit_reports_a_missing_file_before_a_bad_window(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    assert main(["fit", str(missing), "--start", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read series file {missing}: ")
+    assert err.count("\n") == 1
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -10,7 +10,11 @@ import ast
 import collections
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import trendsig
 
@@ -86,6 +90,8 @@ def test_every_private_module_name_is_used_in_its_module():
 # Public names with no caller in the package, and what keeps each.
 PINNED = {
     "generate_batch": "criteria 4 and 8 generate their series with it",
+    "read_registry": "the library's registry reader; the CLI reads the text first, "
+    "without numpy, and hands it to ingest.parse_registry",
     "t_cdf": "criterion 7 checks the scalar CDF against reference values",
     "run_comparison": "perfbench's worker calls it; it goes when the worker moves "
     "to run_comparisons",
@@ -109,3 +115,42 @@ def test_every_public_name_has_a_caller_or_a_pin():
     public = {name for name in trendsig.__all__ if not name.startswith("__")}
     assert set(PINNED) <= public, f"pinned but not public: {set(PINNED) - public}"
     assert sorted(public - loaded) == sorted(PINNED)
+
+
+PUBLIC = [
+    "Ar1Spec", "ComparisonSpec", "ComputationError", "DatasetEntry", "DomainError",
+    "EnsembleStats", "InputError", "MonthIndex", "MonthlySeries", "SizePower",
+    "TableRow", "TestResult", "TrendFit", "TrendSigError", "__version__", "compare",
+    "comparison_row", "d1_star", "difference", "effective_n", "fit", "fit_batch",
+    "generate_batch", "lag1_autocorr", "p_values", "read_registry", "read_series",
+    "render", "run_comparison", "run_comparisons", "significance_marks", "size_power",
+    "t_cdf", "truncate", "write_series",
+]
+
+
+def test_lazy_exports_are_the_defining_modules_public_names():
+    """Each name the package loads on first access is its submodule's own
+    public object, and the package lists the same names as before."""
+    assert sorted(trendsig.__all__) == PUBLIC
+    for name, module_name in trendsig._EXPORTS.items():
+        module = importlib.import_module(f"trendsig.{module_name}")
+        assert name in module.__all__, f"{module_name}.__all__ lacks {name}"
+        assert getattr(trendsig, name) is getattr(module, name), name
+    for module_name in trendsig._SUBMODULES:
+        assert getattr(trendsig, module_name) is importlib.import_module(
+            f"trendsig.{module_name}"
+        )
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trendsig.no_such_name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    probe = (
+        "import sys, trendsig\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'trendsig'))\n"
+        "assert loaded == ['trendsig', 'trendsig.errors'], loaded\n"
+        "trendsig.ingest.read_registry\n"
+        "trendsig.mc.size_power\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
