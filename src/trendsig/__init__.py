@@ -14,53 +14,30 @@ errors and unreadable input files are answered without numpy.
 
 import importlib
 
-from .errors import (
-    ComputationError,
-    DomainError,
-    InputError,
-    TrendSigError,
-)
+from .errors import ComputationError, DomainError, InputError, TrendSigError
 
-# Every other public name, by the submodule that defines it; these names and
-# the submodules load on first access, through __getattr__ (PEP 562).
+# Every other public name, under the submodule that defines it; these names
+# and the submodules load on first access, through __getattr__ (PEP 562).
 _EXPORTS = {
-    "ComparisonSpec": "ingest",
-    "DatasetEntry": "ingest",
-    "read_registry": "ingest",
-    "read_series": "ingest",
-    "write_series": "ingest",
-    "Ar1Spec": "mc",
-    "SizePower": "mc",
-    "generate_batch": "mc",
-    "size_power": "mc",
-    "TableRow": "report",
-    "comparison_row": "report",
-    "render": "report",
-    "run_comparison": "report",
-    "run_comparisons": "report",
-    "significance_marks": "report",
-    "MonthIndex": "series",
-    "MonthlySeries": "series",
-    "difference": "series",
-    "truncate": "series",
-    "EnsembleStats": "sigtest",
-    "TestResult": "sigtest",
-    "compare": "sigtest",
-    "d1_star": "sigtest",
-    "p_values": "sigtest",
-    "t_cdf": "sigtest",
-    "TrendFit": "trend",
-    "effective_n": "trend",
-    "fit": "trend",
-    "fit_batch": "trend",
-    "lag1_autocorr": "trend",
+    "ingest": (
+        "ComparisonSpec", "DatasetEntry", "read_registry", "read_series", "write_series",
+    ),
+    "mc": ("Ar1Spec", "SizePower", "generate_batch", "size_power"),
+    "report": (
+        "TableRow", "comparison_row", "render", "run_comparison", "run_comparisons",
+        "significance_marks",
+    ),
+    "series": ("MonthIndex", "MonthlySeries", "difference", "truncate"),
+    "sigtest": ("EnsembleStats", "TestResult", "compare", "d1_star", "p_values", "t_cdf"),
+    "trend": ("TrendFit", "effective_n", "fit", "fit_batch", "lag1_autocorr"),
 }
-_SUBMODULES = ("cli", "ingest", "mc", "report", "series", "sigtest", "textfile", "trend")
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "textfile")
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     elif name in _SUBMODULES:
         value = importlib.import_module(f".{name}", __name__)
     else:
@@ -72,39 +49,7 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Spec",
-    "ComparisonSpec",
-    "ComputationError",
-    "DatasetEntry",
-    "DomainError",
-    "EnsembleStats",
-    "InputError",
-    "MonthIndex",
-    "MonthlySeries",
-    "SizePower",
-    "TableRow",
-    "TestResult",
-    "TrendFit",
-    "TrendSigError",
-    "compare",
-    "comparison_row",
-    "d1_star",
-    "difference",
-    "effective_n",
-    "fit",
-    "fit_batch",
-    "generate_batch",
-    "lag1_autocorr",
-    "p_values",
-    "read_registry",
-    "read_series",
-    "render",
-    "run_comparison",
-    "run_comparisons",
-    "significance_marks",
-    "size_power",
-    "t_cdf",
-    "truncate",
-    "write_series",
+    "ComputationError", "DomainError", "InputError", "TrendSigError",
+    *_MODULE_OF,
     "__version__",
 ]

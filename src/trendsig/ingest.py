@@ -271,11 +271,14 @@ def parse_registry(
 ) -> tuple[list[DatasetEntry], list[ComparisonSpec]]:
     """The datasets and comparisons in ``text``, the contents of the
     registry file ``path``; relative dataset paths resolve against it."""
-    parser = ConfigParser(interpolation=None, delimiters=("=",))
+    # No header can be empty, so [DEFAULT] is an ordinary section, which the
+    # section check below rejects, not keys copied into every section.
+    parser = ConfigParser(interpolation=None, delimiters=("=",), default_section="")
     try:
         parser.read_string(text, source=str(path))
     except ConfigParserError as exc:
-        raise ParseError(f"registry {path}: {exc}") from exc
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ParseError(f"registry {path}: {message}") from exc
 
     datasets: list[DatasetEntry] = []
     comparisons: list[ComparisonSpec] = []

@@ -235,12 +235,9 @@ def size_power_csv(
     Columns: ``phi,n,trend_gap,alpha,rejection_rate,reps,seed``.  The size
     appears as the ``trend_gap = 0`` row, followed by the power curve.
     """
-    buf = io.StringIO()
-    buf.write("phi,n,trend_gap,alpha,rejection_rate,reps,seed\n")
-    rows = [(0.0, result.size)] + list(result.power_curve)
-    for gap, rate in rows:
-        buf.write(
-            f"{null_spec.phi!r},{null_spec.n},{gap!r},{alpha!r},"
-            f"{rate!r},{reps},{null_spec.seed}\n"
-        )
-    return buf.getvalue()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("phi", "n", "trend_gap", "alpha", "rejection_rate", "reps", "seed"))
+    for gap, rate in [(0.0, result.size), *result.power_curve]:
+        writer.writerow((null_spec.phi, null_spec.n, gap, alpha, rate, reps, null_spec.seed))
+    return out.getvalue()

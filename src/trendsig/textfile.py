@@ -19,7 +19,7 @@ def read_text(path: Path, what: str) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark."""
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return raw.decode("utf-8").removeprefix("\ufeff")

@@ -430,6 +430,25 @@ def test_fit_reports_a_missing_file_before_a_bad_window(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = satellite\n",
+        "[dataset:X]\nkind = satellite\npath\n",
+        "[dataset:X]\nkind = satellite\npath = /x/\x00a.csv\n"
+        "[comparison:c]\nsatellite = X\nmode = trend\nensemble_trend = 0.2\n"
+        "ensemble_sd = 0.1\nn_models = 19\nstart = 1979:01\nend = 1999:12\n",
+    ],
+    ids=["no-section-header", "key-without-equals", "nul-in-dataset-path"],
+)
+def test_registry_errors_print_one_line(tmp_path, capsys, text):
+    registry = tmp_path / "r.ini"
+    registry.write_text(text, encoding="utf-8")
+    assert main(["compare", "--registry", str(registry)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

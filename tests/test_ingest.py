@@ -120,8 +120,9 @@ class TestReadSeries:
             read_series(write(tmp_path, "1979,2,0.1\n1979,2,0.2\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(InputError, match="cannot read"):
-            read_series(tmp_path / "absent.csv")
+        for name in ("absent.csv", "a\x00b.csv"):
+            with pytest.raises(InputError, match="cannot read"):
+                read_series(tmp_path / name)
 
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         text = "\ufeff1979,1,0.1\n1979,2,0.2\n1979,3,0.3\n1979,4,0.4\n"
@@ -514,6 +515,15 @@ class TestReadRegistry:
         bad = "[dataset]\nkind = satellite\npath = x.csv\n"
         with pytest.raises(ParseError, match="dataset"):
             read_registry(write(tmp_path, bad, name="r.ini"))
+
+    @pytest.mark.parametrize(
+        "keys", ["", "mode = lapse\nsurface = SURF\n"], ids=["empty", "with-keys"]
+    )
+    def test_default_section_is_rejected(self, tmp_path, keys):
+        """configparser would copy [DEFAULT]'s keys into every section."""
+        text = f"[DEFAULT]\n{keys}" + GOOD_REGISTRY.format(abs_surf="surf.csv")
+        with pytest.raises(ParseError, match=r"section \[DEFAULT\] is not \[dataset:<id>\]"):
+            read_registry(write(tmp_path, text, name="r.ini"))
 
     def test_unknown_section_kind(self, tmp_path):
         bad = "[window:w1]\nstart = 1979:01\n"

@@ -251,3 +251,6 @@ class TestSizePower:
         assert len(lines) == 3  # size row + one power row
         first = lines[1].split(",")
         assert first[0] == "0.0" and first[1] == "40" and first[6] == "13"
+        # numpy scalars print as the numbers they hold, not as their reprs
+        np_spec = Ar1Spec(np.float64(0.0), 0.1, 0.215, np.int64(40), seed=np.int64(13))
+        assert size_power_csv(np_spec, np.float64(0.05), 1000, result) == text

@@ -226,7 +226,6 @@ class TestRunComparisons:
         assert sorted(reads) == ["line051.csv", "sat_a.csv", "surf_a.csv"]
 
     def test_unreadable_dataset_reported_under_first_spec(self, fixture_dir):
-        registry = {"LINE": DatasetEntry("LINE", "satellite", fixture_dir / "no.csv")}
         specs = [
             ComparisonSpec(
                 spec_id=spec_id,
@@ -237,8 +236,10 @@ class TestRunComparisons:
             )
             for spec_id in ("first", "second")
         ]
-        with pytest.raises(InputError, match="^first: cannot read series file"):
-            report.run_comparisons(specs, registry)
+        for name in ("no.csv", "n\x00o.csv"):
+            registry = {"LINE": DatasetEntry("LINE", "satellite", fixture_dir / name)}
+            with pytest.raises(InputError, match="^first: cannot read series file"):
+                report.run_comparisons(specs, registry)
 
 
 class TestRender:
