@@ -10,12 +10,13 @@ field and ``_`` digit separators are accepted.  A missing-value row still
 needs a valid year and month: an integer year whose month number
 ``12 * year + month`` fits in int64, and a month in 1..12.
 
-Reading takes one of two paths.  A plain file (3 fields on every row,
-exact ``NA`` markers, years well inside the month axis; see
-``_read_plain``) is read column-wise in one pass.  Any other file is read
-again row by row by ``_read_rows``, which defines what a valid file is:
-its error names the first failing line and, within that line, the first
-failing check.
+Reading takes one of two paths.  A plain file (two commas on every line,
+LF or CRLF line ends, no quote, lone CR, NUL or line longer than the
+``csv`` field limit, exact ``NA`` markers, years well inside the month
+axis; see ``_read_plain``) is read column-wise without a per-row loop.
+Any other file is read again row by row by ``_read_rows``, which defines
+what a valid file is: its error names the first failing line and, within
+that line, the first failing check.
 
 Registry format: an INI-style text file (human-diffable) with one section
 per dataset and per comparison::
@@ -158,18 +159,36 @@ def parse_series(text: str, path: Path, name: str | None = None) -> MonthlySerie
 def _read_plain(text: str, name: str) -> MonthlySeries:
     """The series of a plain file, or an exception where the file is not plain.
 
-    A plain file has 3 fields on every row, a header only as its first row,
-    years and months that ``int`` reads, months in 1..12 and |year| at most
-    ``_PLAIN_YEARS``, and values that are exactly ``NA``, empty, or finite
-    numbers ``float`` reads; repeated or out-of-order months make the
-    :class:`MonthlySeries` constructor raise.  :func:`_read_rows` reads
-    every other file.
+    A plain file has lines ended by LF or CRLF (the last may lack one),
+    exactly two commas on every line, and no quote, lone CR, NUL or line
+    longer than ``csv.field_size_limit()``, so that splitting on commas and
+    newlines gives the fields ``csv`` would.  It has a header only as its
+    first row, years and months that ``int`` reads, months in 1..12 and
+    |year| at most ``_PLAIN_YEARS``, and values that are exactly ``NA``,
+    empty, or finite numbers ``float`` reads; repeated or out-of-order
+    months make the :class:`MonthlySeries` constructor raise.
+    :func:`_read_rows` reads every other file, blank lines included.
     """
-    fields: list[str] = []
-    for row in csv.reader(io.StringIO(text, newline="")):
-        if len(row) != 3:
-            raise ValueError("not 3 fields")
-        fields += row
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\x00" in text:
+        raise ValueError("a quote, a lone carriage return or a NUL")
+    if text and not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    # With two commas per newline in all, line k holds exactly commas 2k and
+    # 2k + 1 when newline k lies after comma 2k + 1 and before comma 2k + 2.
+    if not (
+        len(commas) == 2 * len(newlines)
+        and np.all(commas[1::2] < newlines)
+        and np.all(newlines[:-1] < commas[2::2])
+    ):
+        raise ValueError("not 3 fields")
+    if np.any(np.diff(newlines, prepend=-1) - 1 > csv.field_size_limit()):
+        raise ValueError("a line longer than the csv field limit")
+    fields = text.replace("\n", ",").split(",")[:-1]
     cells = np.array(fields, dtype=object).reshape(-1, 3)
     try:
         float(fields[0] if fields else "0")

@@ -20,9 +20,17 @@ def read_text(path: Path, what: str) -> str:
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} file {_shown(path)}: {exc}") from exc
     try:
         return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+        message = f"line {line}: not UTF-8 text ({exc.reason})"
+        raise ParseError(f"{_shown(path)}, {message}") from None
+
+
+def _shown(path: Path) -> str:
+    """``path`` as a message shows it: escaped if it holds a NUL or any
+    other character that is not printable, as is otherwise."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)[1:-1]

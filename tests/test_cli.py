@@ -447,6 +447,7 @@ def test_registry_errors_print_one_line(tmp_path, capsys, text):
     assert main(["compare", "--registry", str(registry)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "\x00" not in err
 
 
 def test_numpy_is_the_only_runtime_dependency():

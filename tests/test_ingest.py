@@ -121,8 +121,9 @@ class TestReadSeries:
 
     def test_missing_file(self, tmp_path):
         for name in ("absent.csv", "a\x00b.csv"):
-            with pytest.raises(InputError, match="cannot read"):
+            with pytest.raises(InputError, match="cannot read") as info:
                 read_series(tmp_path / name)
+            assert "\x00" not in str(info.value)
 
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         text = "\ufeff1979,1,0.1\n1979,2,0.2\n1979,3,0.3\n1979,4,0.4\n"
@@ -407,14 +408,47 @@ def test_read_series_agrees_with_row_reader(generated_csv, files, data):
     assert plain == ingest._read_rows(text, "series", generated_csv)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1979,1,5,1979\n2,0.3\n",
+        "1979,1,\r0.5\n1979,2,0.2\n",
+        '"1979",1,0.1\n1979,2,0.2\n',
+        "ye\x00ar,month,value\n1979,1,0.1\n",
+        "1979,1,0." + "0" * 131_070 + "1\n",
+        "1979,1,0.1\n1979,2,0.2\n\n",
+    ],
+    ids=[
+        "right-comma-total-wrong-rows",
+        "lone-cr",
+        "quoted-field",
+        "nul-in-header",
+        "field-over-csv-limit",
+        "trailing-blank-line",
+    ],
+)
+def test_files_the_plain_reader_refuses_agree_with_row_reader(tmp_path, text):
+    """Files that splitting on commas and newlines would misread: csv ends
+    a row at a lone CR, unquotes a field, rejects a NUL on Python 3.10 and
+    a field over 131,072 characters, and skips a blank line."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_series, path) == outcome(row_reader, path)
+
+
 def test_plain_files_never_fall_back_to_the_row_reader(monkeypatch, tmp_path, fixture_dir):
     """A file written by ``write_series``, with ``NA`` rows and a gap, stays
-    on the fast path, as do the 366-month fixture files; a fast path
-    that always gave up would pass every other test and only run slower."""
+    on the fast path, with LF or CRLF line ends, as do the 366-month fixture
+    files; a fast path that always gave up would pass every other test and
+    only run slower."""
     long_path = tmp_path / "long.csv"
     expected = {long_path: write_long_file(long_path)}
+    crlf_path = tmp_path / "crlf" / "long.csv"
+    crlf_path.parent.mkdir()
+    crlf_path.write_bytes(long_path.read_bytes().replace(b"\n", b"\r\n"))
+    expected[crlf_path] = expected[long_path]
     expected |= {path: row_reader(path) for path in sorted(fixture_dir.glob("*.csv"))}
-    assert len(expected) == 4
+    assert len(expected) == 5
 
     def no_fallback(text, name, path):
         raise AssertionError(f"{path} fell back to the row reader")
