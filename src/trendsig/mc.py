@@ -11,8 +11,9 @@ Noise is drawn and filtered in chunks of ``CHUNK_ROWS`` replicates, and
 :func:`size_power` fits each chunk once with :func:`~trendsig.trend.fit_batch`
 and tests it at every true trend in one call each of the two kernels that
 :func:`~trendsig.sigtest.compare` wraps, ``d1_star`` and ``p_values``.
-Its working memory is therefore a few ``CHUNK_ROWS x n`` float matrices
-(about 3 MB each at n = 360), whatever the replicate count.
+Its working memory is therefore three ``CHUNK_ROWS x n`` float matrices
+(about 3 MB each at n = 360), whatever the replicate count: the noise
+chunk, and the residuals and one scratch matrix of ``fit_batch``.
 
 Determinism contract: replicate ``k`` of a given spec consumes draws
 ``[k*n, (k+1)*n)`` of the seed's innovation stream, so any slice of

@@ -20,7 +20,10 @@ one month axis and returns a :class:`TrendFit` of per-row arrays;
 :func:`fit` is its one-row case, so a row of a batch gets exactly the
 numbers a single fit of that row gets.  :func:`lag1_autocorr` and
 :func:`effective_n` work the same way: a 1-D sequence or a scalar r1 gives
-a float, and the batch fit calls them on whole arrays.
+a float.  The batch fit calls ``effective_n`` on whole arrays and shares
+``lag1_autocorr``'s kernel, centring the residuals in a scratch matrix it
+already holds, so a chunk allocates only its residuals and that one
+scratch matrix.
 """
 
 from __future__ import annotations
@@ -109,11 +112,16 @@ def lag1_autocorr(residuals) -> float | np.ndarray:
     n = e.shape[-1] if e.ndim else 1
     if n < 2:
         raise TooFewPoints(f"lag-1 autocorrelation needs at least 2 values, got {n}")
-    c = e - e.sum(axis=-1, keepdims=True) / n
+    r1 = _lag1(e, np.empty_like(e))
+    return float(r1) if r1.ndim == 0 else r1
+
+
+def _lag1(e, scratch):
+    """The lag-1 autocorrelation kernel; ``e`` centred lands in ``scratch``."""
+    c = np.subtract(e, e.sum(axis=-1, keepdims=True) / e.shape[-1], out=scratch)
     denom = np.vecdot(c, c)
     # A constant row has c == 0, so its numerator is 0 as well.
-    r1 = np.vecdot(c[..., :-1], c[..., 1:]) / np.where(denom == 0.0, 1.0, denom)
-    return float(r1) if r1.ndim == 0 else r1
+    return np.vecdot(c[..., :-1], c[..., 1:]) / np.where(denom == 0.0, 1.0, denom)
 
 
 def effective_n(n: int, r1: float | np.ndarray) -> float | np.ndarray:
@@ -169,27 +177,40 @@ def fit_batch(months, values) -> TrendFit:
     n = x.size
     if n < 3:
         raise TooFewPoints(f"trend fit needs at least 3 points, got {n}")
-    if not np.isfinite(y).all():
+    # Sums over n, not .mean(): the same arithmetic with less call overhead.
+    # A finite row sum means a finite row, so the elements are looked at
+    # only when a sum is not finite.  The checks raise before any numpy
+    # warning, so finite values whose sum overflows are summed again after
+    # them with warnings on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ybar = y.sum(axis=1) / n
+    sums_finite = np.isfinite(ybar).all()
+    if not sums_finite and not np.isfinite(y).all():
         row = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise NonFiniteInput(f"row {row} contains non-finite values", row=row)
-    # Sums over n, not .mean(): the same arithmetic with less call overhead.
     xbar = float(x.sum() / n)
     xc = x - xbar
     sxx = float(xc @ xc)
     if sxx == 0.0:
         raise DegenerateDesign("all points fall in the same month")
-    ybar = y.sum(axis=1) / n
+    if not sums_finite:
+        ybar = y.sum(axis=1) / n
     yc = y - ybar[:, np.newaxis]
     slope = np.vecdot(yc, xc) / sxx
     intercept = ybar - slope * xbar
-    residuals = y - (intercept[:, np.newaxis] + slope[:, np.newaxis] * x)
+    # y - (intercept + slope * x) built in one buffer; addition commutes
+    # exactly, so the bits are those of the textbook expression.
+    residuals = np.multiply.outer(slope, x)
+    residuals += intercept[:, np.newaxis]
+    np.subtract(y, residuals, out=residuals)
     residuals.setflags(write=False)
 
     ss_res = np.vecdot(residuals, residuals)
     ss_tot = np.vecdot(yc, yc)
     # Rounding can push a near-perfect correlation onto the boundary;
-    # nudge it back inside the open interval.
-    r1 = np.clip(lag1_autocorr(residuals), -1.0 + 1e-15, 1.0 - 1e-15)
+    # nudge it back inside the open interval.  yc is spent, so the
+    # centred residuals overwrite it.
+    r1 = np.clip(_lag1(residuals, yc), -1.0 + 1e-15, 1.0 - 1e-15)
     # A constant row (ss_tot == 0) has zero residuals, so it counts as exact.
     r1[ss_res <= _EXACT_FIT_RATIO * ss_tot] = 0.0
 

@@ -95,6 +95,7 @@ def test_every_private_module_name_is_used_in_its_module():
 # Public names with no caller in the package, and what keeps each.
 PINNED = {
     "generate_batch": "criteria 4 and 8 generate their series with it",
+    "lag1_autocorr": "the r1 definition that tests check by hand; fit_batch shares its kernel",
     "read_registry": "the library's registry reader; the CLI reads the text first, "
     "without numpy, and hands it to ingest.parse_registry",
     "t_cdf": "criterion 7 checks the scalar CDF against reference values",

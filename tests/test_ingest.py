@@ -333,14 +333,36 @@ MONTHS = st.sampled_from(TOKENS + ("1", " 2 ", "+3", "1_2", "\x1c4"))
 VALUES = st.sampled_from(TOKENS + ("0.25", " -1.5 ", " NA ", "\x1c0.5"))
 
 
+PLAIN_VALUES = st.sampled_from(["0.25", "-1.5", "3", "-0.0", "1e-300", " 0.5 ", "NA", ""])
+SPOILERS = ("4 and 2 fields", "lone CR", "quoted field")
+
+
+def spoil(how, row, next_row):
+    """Two well-formed rows rewritten the way ``how`` names: the next row's
+    year moved up a row (right comma total, wrong rows), a lone CR before
+    the month (csv ends the row there), or the month in quotes.  Splitting
+    on commas and newlines reads the first two as good rows, and a quote
+    must send the file to csv."""
+    year, month, value = row.split(",")
+    if how == "4 and 2 fields":
+        next_year, rest = next_row.split(",", 1)
+        return [f"{row},{next_year}", rest]
+    if how == "lone CR":
+        return [f"{year},\r{month},{value}", next_row]
+    return [f'{year},"{month}",{value}', next_row]
+
+
 @st.composite
 def series_files(draw):
     """CSV text mixing well-formed rows (months mostly increasing) with
-    rows of awkward fields, blank rows, 2-field rows and quoted newlines."""
+    rows of awkward fields, blank rows, 2-field rows, quoted newlines and
+    pairs of rows with one of the ``SPOILERS``."""
     rows = ["year,month,value"] if draw(st.booleans()) else []
     ordinal = MonthIndex(1979, 1).ordinal
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["month", "month", "fields", "blank", "short", "quoted"]))
+        kind = draw(st.sampled_from(
+            ["month", "month", "fields", "blank", "short", "quoted", "spoiled"]
+        ))
         if kind == "month":
             ordinal += draw(st.integers(-1, 3))
             m = MonthIndex.from_ordinal(ordinal)
@@ -351,21 +373,27 @@ def series_files(draw):
             rows.append(draw(st.sampled_from(["", " ", " , , ", ",,"])))
         elif kind == "short":
             rows.append(f"{draw(YEARS)},{draw(MONTHS)}")
-        else:
+        elif kind == "quoted":
             rows.append(f'{draw(YEARS)},"{draw(MONTHS)}\n",{draw(VALUES)}')
+        else:
+            pair = []
+            for _ in range(2):
+                ordinal += 1
+                m = MonthIndex.from_ordinal(ordinal)
+                pair.append(f"{m.year},{m.month},{draw(PLAIN_VALUES)}")
+            rows += spoil(draw(st.sampled_from(SPOILERS)), *pair)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(rows) + draw(st.sampled_from(["", newline]))
-
-
-PLAIN_VALUES = st.sampled_from(["0.25", "-1.5", "3", "-0.0", "1e-300", " 0.5 ", "NA", ""])
 
 
 @st.composite
 def plain_files(draw):
     """Mostly plain CSV text: an optional header, increasing months with
     gaps, ``NA`` and empty values, and years written as ``int`` reads them.
-    Some files carry a whitespace-only row, first or among the data."""
-    rows = ["year,month,value"] if draw(st.booleans()) else []
+    Some files carry a whitespace-only row, first or among the data, and
+    some a pair of data rows with one of the ``SPOILERS``."""
+    header = draw(st.booleans())
+    rows = ["year,month,value"] if header else []
     # the fast path reads years up to 10**15
     first_year = draw(st.sampled_from([-2, 1979, 1979, 1979, 10**15 - 1, 10**15]))
     year_text = draw(st.sampled_from(["{}", " {} ", "{:+}", "{:_}"]))
@@ -374,6 +402,10 @@ def plain_files(draw):
         ordinal += draw(st.sampled_from([1, 1, 1, 2, 25]))
         m = MonthIndex.from_ordinal(ordinal)
         rows.append(f"{year_text.format(m.year)},{m.month},{draw(PLAIN_VALUES)}")
+    spoiler = draw(st.sampled_from([None] * 5 + list(SPOILERS)))
+    if spoiler and len(rows) - header >= 2:
+        k = draw(st.integers(int(header), len(rows) - 2))
+        rows[k : k + 2] = spoil(spoiler, rows[k], rows[k + 1])
     if draw(st.integers(0, 4)) == 0:
         blank = draw(st.sampled_from(["", " ", " , , ", ",,"]))
         rows.insert(draw(st.integers(0, len(rows))), blank)

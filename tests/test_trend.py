@@ -1,6 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_line
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendsig import MonthIndex, MonthlySeries, effective_n, fit, lag1_autocorr
 from trendsig.errors import (
@@ -12,7 +17,7 @@ from trendsig.errors import (
     TooFewPoints,
 )
 from trendsig.mc import Ar1Spec, generate_batch
-from trendsig.trend import TrendFit, fit_batch
+from trendsig.trend import _EXACT_FIT_RATIO, MONTHS_PER_DECADE, TrendFit, fit_batch
 
 
 # One slow cosine period over 24 months: residual r1 ~ 0.88, so n_eff ~ 1.5
@@ -205,6 +210,146 @@ class TestFitBatch:
                 assert abs(got - want) <= 1e-12 * abs(want), (k, field)
 
 
+def reference_fit_batch(months, values):
+    """``fit_batch`` as written with a fresh array for every step (the
+    finite check, the centred values, slope * x, the fitted line, the
+    residuals and the centred residuals), the reference whose outputs and
+    errors the buffer-sharing version must match bit for bit."""
+    x = np.asarray(months).astype(np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+        raise InputError(
+            f"need months of shape (n,) and values of shape (rows, n), "
+            f"got {x.shape} and {y.shape}"
+        )
+    n = x.size
+    if n < 3:
+        raise TooFewPoints(f"trend fit needs at least 3 points, got {n}")
+    if not np.isfinite(y).all():
+        row = int(np.argmin(np.isfinite(y).all(axis=1)))
+        raise NonFiniteInput(f"row {row} contains non-finite values", row=row)
+    xbar = float(x.sum() / n)
+    xc = x - xbar
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateDesign("all points fall in the same month")
+    ybar = y.sum(axis=1) / n
+    yc = y - ybar[:, np.newaxis]
+    slope = np.vecdot(yc, xc) / sxx
+    intercept = ybar - slope * xbar
+    residuals = y - (intercept[:, np.newaxis] + slope[:, np.newaxis] * x)
+    residuals.setflags(write=False)
+
+    ss_res = np.vecdot(residuals, residuals)
+    ss_tot = np.vecdot(yc, yc)
+    c = residuals - residuals.sum(axis=-1, keepdims=True) / n
+    denom = np.vecdot(c, c)
+    r1 = np.vecdot(c[..., :-1], c[..., 1:]) / np.where(denom == 0.0, 1.0, denom)
+    r1 = np.clip(r1, -1.0 + 1e-15, 1.0 - 1e-15)
+    r1[ss_res <= _EXACT_FIT_RATIO * ss_tot] = 0.0
+
+    n_eff = effective_n(n, r1)
+    df = n_eff - 2.0
+    short = df <= 0.0
+    if short.any():
+        row = int(short.argmax())
+        raise EffectiveDfTooSmall(
+            f"effective sample size {n_eff[row]:.3f} leaves no degrees of freedom",
+            row=row,
+        )
+    se_month = np.sqrt(ss_res / df / sxx)
+    return TrendFit(
+        slope_per_month=slope,
+        slope_per_decade=MONTHS_PER_DECADE * slope,
+        intercept=intercept,
+        n=n,
+        residuals=residuals,
+        r1=r1,
+        n_eff=n_eff,
+        se_slope=MONTHS_PER_DECADE * se_month,
+        df=df,
+    )
+
+
+def bits_or_error(fitter, months, values):
+    """Every field's dtype, shape and bytes, or the error's type, message
+    and row; with warnings as errors, a numpy warning counts as an error."""
+    try:
+        f = fitter(months, values)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return [
+        (a.dtype, a.shape, a.tobytes())
+        for a in (np.asarray(getattr(f, field.name)) for field in dataclasses.fields(f))
+    ]
+
+
+@st.composite
+def fit_inputs(draw):
+    """A month axis (consecutive, gapped or one month) and a ``(rows, n)``
+    matrix of noise, exact lines, constants and slow waves (too few
+    degrees of freedom), with offsets up to 1e6, scales from 1e-200 to
+    sums that overflow, and sometimes a planted NaN, inf, -inf or inf and
+    -inf in one row."""
+    n = draw(st.integers(3, 40))
+    start = draw(st.integers(0, 30_000))
+    axis = draw(st.sampled_from(["consecutive"] * 3 + ["gapped"] * 4 + ["one month"]))
+    if axis == "consecutive":
+        months = start + np.arange(n)
+    elif axis == "gapped":
+        steps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        months = start + np.concatenate([[0], np.cumsum(steps)])
+    else:
+        months = np.full(n, start)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, -3.5, 288.15, 1e6]))
+    scale = draw(st.sampled_from([1e-200, 1e-6, 1.0, 1.0, 1.0, 1e300, 2.0**1021]))
+    rows = []
+    for _ in range(draw(st.sampled_from(range(6)))):
+        kind = draw(st.sampled_from(["noise", "noise", "noise", "line", "constant", "wave"]))
+        if kind == "line":
+            rows.append(draw(st.floats(-0.01, 0.01)) * months + offset)
+        elif kind == "constant":
+            rows.append(np.full(n, offset + draw(st.floats(-5.0, 5.0))))
+        elif kind == "wave":
+            rows.append(offset + scale * np.cos(2 * np.pi * np.arange(n) / n))
+        else:
+            rows.append(offset + scale * rng.uniform(-0.5, 1.0, n))
+    values = np.array(rows, dtype=np.float64).reshape(-1, n)
+    plant = draw(st.sampled_from([None] * 8 + [np.nan, np.inf, -np.inf, "inf and -inf"]))
+    if plant is not None and len(values):
+        row = draw(st.integers(0, len(values) - 1))
+        if plant == "inf and -inf":
+            values[row, [0, -1]] = np.inf, -np.inf
+        else:
+            values[row, draw(st.integers(0, n - 1))] = plant
+    return months, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_fit_batch_matches_the_reference_bit_for_bit(inputs):
+    months, values = inputs
+    assert bits_or_error(fit_batch, months, values) == bits_or_error(
+        reference_fit_batch, months, values
+    )
+
+
+def test_chunk_fit_allocates_its_residuals_and_one_scratch_matrix():
+    """A Monte Carlo chunk fit holds the residuals it returns and one
+    scratch matrix of the same size, not a fresh array per step."""
+    months = MonthIndex(1979, 1).ordinal + np.arange(360)
+    values = np.random.default_rng(13).standard_normal((1000, 360))
+    fit_batch(months, values)
+    tracemalloc.start()
+    try:
+        fit_batch(months, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * values.nbytes
+
+
 class TestLag1Autocorr:
     def test_alternating_signs(self):
         e = np.tile([1.0, -1.0], 50)  # n = 100
@@ -224,6 +369,13 @@ class TestLag1Autocorr:
     def test_needs_two_points(self):
         with pytest.raises(TooFewPoints):
             lag1_autocorr([1.0])
+
+    def test_batch_fit_r1_is_lag1_of_its_residuals(self):
+        months = MonthIndex(1979, 1).ordinal + np.arange(120)
+        values = np.random.default_rng(14).standard_normal((8, 120))
+        batch = fit_batch(months, values)
+        assert np.array_equal(batch.r1, lag1_autocorr(batch.residuals))
+        assert batch.r1[0] == lag1_autocorr(batch.residuals[0])
 
 
 class TestEffectiveN:
