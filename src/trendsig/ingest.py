@@ -348,18 +348,18 @@ def _parse_comparison(parser: ConfigParser, section: str, ident: str) -> Compari
     surface = parser.get(section, "surface", fallback="").strip() or None
     mode = _require(parser, section, "mode", BadSpec, "field")
 
-    def ensemble_number(key: str, conv):
+    def ensemble_number(key: str, conv, kind: str = "a number"):
         raw = _require(parser, section, key, MissingEnsembleField, "ensemble field")
         try:
             return conv(raw)
         except ValueError:
             raise MissingEnsembleField(
-                f"[{section}] ensemble field {key!r} is not a number: {raw!r}"
+                f"[{section}] ensemble field {key!r} is not {kind}: {raw!r}"
             ) from None
 
     trend = ensemble_number("ensemble_trend", float)
     inter_model_sd = ensemble_number("ensemble_sd", float)
-    n_models = ensemble_number("n_models", int)
+    n_models = ensemble_number("n_models", int, "an integer")
     try:
         ensemble = EnsembleStats(trend, inter_model_sd, n_models)
     except InputError as exc:

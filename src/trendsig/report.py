@@ -1,10 +1,10 @@
 """Run comparisons end-to-end and render result tables.
 
-A table row pairs an ensemble trend with an observed trend and the test
-verdict, p-values included; only :func:`render` turns them into
-significance marks.  Rows referencing datasets without version notes are
-flagged best-effort, since provider series get revised over time and a
-re-run on current data need not match archived numbers.
+A table row holds the ensemble, the fit and the test verdict it was
+computed from; :func:`render` derives every displayed number and
+significance mark from them.  Rows referencing datasets without version
+notes are flagged best-effort, since provider series get revised over
+time and a re-run on current data need not match archived numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import BadSpec, DomainError, TrendSigError, UnknownDatasetId
 from .ingest import ComparisonSpec, DatasetEntry, read_series
 from .series import MonthIndex, MonthlySeries, difference, truncate
-from .sigtest import EnsembleStats, compare
-from .trend import fit
+from .sigtest import EnsembleStats, TestResult, compare
+from .trend import TrendFit, fit
 
 if TYPE_CHECKING:  # annotations only: compare and lapse need no Monte Carlo
     from .mc import Ar1Spec, SizePower
@@ -59,9 +59,9 @@ def significance_marks(p: float) -> str:
     return "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableRow:
-    """One comparison outcome, stored at full precision.
+    """One comparison: the ensemble, the fit and the verdict of ``compare``.
 
     ``surface`` is None for plain trend comparisons and names the surface
     dataset for difference-series (lapse) rows.  Display rounding and
@@ -69,12 +69,9 @@ class TableRow:
     """
 
     satellite: str
-    ensemble_trend: float
-    observed_trend: float
-    d1: float
-    percentile: float
-    p_two_sided: float
-    p_one_sided: float
+    ensemble: EnsembleStats
+    fit: TrendFit
+    test: TestResult
     surface: str | None = None
     best_effort: bool = False
 
@@ -99,16 +96,12 @@ def comparison_row(
     """
     target = satellite if surface is None else difference(surface, satellite)
     trend_fit = fit(truncate(target, *window))
-    verdict = compare(ensemble, trend_fit)
     return TableRow(
         satellite=satellite.name,
+        ensemble=ensemble,
+        fit=trend_fit,
+        test=compare(ensemble, trend_fit),
         surface=None if surface is None else surface.name,
-        ensemble_trend=ensemble.trend,
-        observed_trend=trend_fit.slope_per_decade,
-        d1=verdict.d1_star,
-        percentile=verdict.percentile,
-        p_two_sided=verdict.p_two_sided,
-        p_one_sided=verdict.p_one_sided,
         best_effort=best_effort,
     )
 
@@ -172,12 +165,12 @@ def _fmt(value: float, decimals: int) -> str:
 def _cells(row: TableRow) -> tuple[str, ...]:
     """Displayed values of a row: trends, d1*, percentile, two- and one-sided marks."""
     return (
-        _fmt(row.ensemble_trend, 3),
-        _fmt(row.observed_trend, 3),
-        _fmt(row.d1, 2),
-        _fmt(row.percentile, 1),
-        significance_marks(row.p_two_sided),
-        significance_marks(row.p_one_sided),
+        _fmt(row.ensemble.trend, 3),
+        _fmt(row.fit.slope_per_decade, 3),
+        _fmt(row.test.d1_star, 2),
+        _fmt(row.test.percentile, 1),
+        significance_marks(row.test.p_two_sided),
+        significance_marks(row.test.p_one_sided),
     )
 
 

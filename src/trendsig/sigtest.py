@@ -85,8 +85,8 @@ class TestResult:
 
     ``percentile`` is 100 times the t-CDF at the signed statistic, so
     negative statistics land below 50.  ``p_one_sided`` is half of
-    ``p_two_sided``; report rows copy both, and rendering turns them into
-    marks with :func:`trendsig.report.significance_marks`.
+    ``p_two_sided``; a report row holds the result, and rendering turns both
+    into marks with :func:`trendsig.report.significance_marks`.
     """
 
     d1_star: float | np.ndarray

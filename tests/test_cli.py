@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import re
 import subprocess
@@ -43,6 +44,33 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def test_declared_console_script_runs(tmp_path):
+    """The ``trendsig`` script that pyproject.toml declares resolves, and
+    runs as an installed console script would: ``sys.exit(main())``."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, attr = scripts["trendsig"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    script = (
+        f"import sys\nfrom {module} import {attr}\n"
+        f"sys.argv[0] = 'trendsig'\nsys.exit({attr}())\n"
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True
+        )
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.startswith("usage: trendsig")
+    missing = run("fit", str(tmp_path / "absent.csv"))
+    assert missing.returncode == 1
+    assert missing.stdout == ""
+    assert [line[:6] for line in missing.stderr.splitlines()] == ["error:"]
 
 
 def test_fit_reports_trend_and_dof_fields(fixture_dir):

@@ -532,6 +532,21 @@ class TestReadRegistry:
         with pytest.raises(MissingEnsembleField, match="n_models"):
             read_registry(write(tmp_path, bad.format(abs_surf="s.csv"), name="r.ini"))
 
+    @pytest.mark.parametrize(
+        "good, bad, kind",
+        [
+            ("n_models = 19", "n_models = 19.0", "an integer"),
+            ("n_models = 19", "n_models = 1e3", "an integer"),
+            ("ensemble_sd = 0.1", "ensemble_sd = wide", "a number"),
+        ],
+    )
+    def test_unparseable_ensemble_field_names_the_kind(self, tmp_path, good, bad, kind):
+        key, raw = bad.split(" = ")
+        text = GOOD_REGISTRY.replace(good, bad, 1).format(abs_surf="s.csv")
+        with pytest.raises(MissingEnsembleField) as info:
+            read_registry(write(tmp_path, text, name="r.ini"))
+        assert str(info.value).endswith(f"ensemble field {key!r} is not {kind}: {raw!r}")
+
     def test_missing_window_field(self, tmp_path):
         bad = GOOD_REGISTRY.replace("end = 2009:06\n", "")
         with pytest.raises(BadWindow, match="end"):

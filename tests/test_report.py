@@ -15,7 +15,9 @@ from trendsig import (
     EnsembleStats,
     MonthIndex,
     TableRow,
+    TrendFit,
     compare,
+    comparison_row,
     difference,
     fit,
     p_values,
@@ -26,7 +28,7 @@ from trendsig import (
     significance_marks,
     truncate,
 )
-from trendsig import report
+from trendsig import report, sigtest
 from trendsig.cli import main
 from trendsig.errors import (
     InputError,
@@ -39,10 +41,27 @@ GOLDEN = Path(__file__).parent / "data" / "golden_table.txt"
 WINDOW = (MonthIndex(1979, 1), MonthIndex(2009, 6))
 
 
+def made_fit(slope_per_decade, df):
+    """A fit of ``df + 2`` points whose slope is ``slope_per_decade``."""
+    n = int(df) + 2
+    return TrendFit(
+        slope_per_month=slope_per_decade / 120.0,
+        slope_per_decade=slope_per_decade,
+        intercept=0.0,
+        n=n,
+        residuals=np.zeros(n),
+        r1=0.0,
+        n_eff=float(n),
+        se_slope=0.05,
+        df=df,
+    )
+
+
 def golden_rows():
     """Four fixed rows exercising signs, lapse labels and the best-effort flag."""
     d1 = [2.42, 1.41, -2.34, -0.07]
-    cdf, p_two, p_one = p_values(np.array(d1), np.array([198.0, 210.0, 180.0, 300.0]))
+    df = [198.0, 210.0, 180.0, 300.0]
+    cdf, p_two, p_one = p_values(np.array(d1), np.array(df))
     cells = [
         dict(satellite="SAT_A", ensemble_trend=0.215, observed_trend=0.051),
         dict(satellite="SAT_B", ensemble_trend=0.199, observed_trend=0.1404),
@@ -59,14 +78,30 @@ def golden_rows():
     ]
     return [
         TableRow(
-            d1=d1[k],
-            percentile=100.0 * float(cdf[k]),
-            p_two_sided=float(p_two[k]),
-            p_one_sided=float(p_one[k]),
+            ensemble=EnsembleStats(cell.pop("ensemble_trend"), 0.1, 19),
+            fit=made_fit(cell.pop("observed_trend"), df[k]),
+            test=sigtest.TestResult(
+                d1_star=d1[k],
+                df=df[k],
+                percentile=100.0 * float(cdf[k]),
+                p_two_sided=float(p_two[k]),
+                p_one_sided=float(p_one[k]),
+            ),
             **cell,
         )
         for k, cell in enumerate(cells)
     ]
+
+
+def assert_same_fields(got, want):
+    """Field-for-field equality of two fits or two verdicts; arrays by bytes."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert (type(a), a) == (type(b), b), field.name
 
 
 class TestTableRow:
@@ -85,7 +120,9 @@ class TestSignificanceCell:
     def test_one_sided_mark_never_weaker_and_cell_shows_both(self, p):
         two, one = significance_marks(p), significance_marks(p / 2.0)
         assert MARK_RANK.index(one) >= MARK_RANK.index(two)
-        row = dataclasses.replace(golden_rows()[0], p_two_sided=p, p_one_sided=p / 2.0)
+        row = golden_rows()[0]
+        test = dataclasses.replace(row.test, p_two_sided=p, p_one_sided=p / 2.0)
+        row = dataclasses.replace(row, test=test)
         assert render([row]).splitlines()[1].endswith(f"  {two} ({one})")
 
 
@@ -97,14 +134,11 @@ class TestRunComparison:
 
         series = read_series(fixture_dir / "sat_a.csv", name="SAT_A")
         f = fit(truncate(series, *WINDOW))
-        verdict = compare(spec.ensemble, f)
         assert row.satellite == "SAT_A"
         assert row.surface is None
-        assert row.observed_trend == f.slope_per_decade
-        assert row.d1 == verdict.d1_star
-        assert row.percentile == verdict.percentile
-        assert row.p_two_sided == verdict.p_two_sided
-        assert row.p_one_sided == verdict.p_one_sided
+        assert row.ensemble == spec.ensemble
+        assert_same_fields(row.fit, f)
+        assert_same_fields(row.test, compare(spec.ensemble, f))
         assert not row.best_effort
 
     def test_lapse_mode_differences_then_fits(self, fixture_dir):
@@ -116,7 +150,7 @@ class TestRunComparison:
         sat = read_series(fixture_dir / "sat_a.csv", name="SAT_A")
         # gap-free shared axis: difference trend = trend difference
         expected = fit(surf).slope_per_decade - fit(sat).slope_per_decade
-        assert row.observed_trend == pytest.approx(expected, abs=1e-10)
+        assert row.fit.slope_per_decade == pytest.approx(expected, abs=1e-10)
         assert row.surface == "SURF_A"
         assert row.label == "SURF_A-minus-SAT_A"
 
@@ -124,12 +158,12 @@ class TestRunComparison:
         datasets, comparisons = read_registry(fixture_dir / "registry.ini")
         spec = next(c for c in comparisons if c.spec_id == "line_vs_ensemble")
         row = run_comparison(spec, datasets)
-        assert row.observed_trend == pytest.approx(0.051, abs=1e-12)
+        assert row.fit.slope_per_decade == pytest.approx(0.051, abs=1e-12)
         # se = 0, so the spread is purely the ensemble's: 0.2^2 / 19
-        expected_d1 = (0.215 - row.observed_trend) / math.sqrt(0.2**2 / 19)
-        assert row.d1 == pytest.approx(expected_d1, abs=1e-9)
-        assert round(row.d1, 2) == 3.57
-        assert significance_marks(row.p_two_sided) == "***"
+        expected_d1 = (0.215 - row.fit.slope_per_decade) / math.sqrt(0.2**2 / 19)
+        assert row.test.d1_star == pytest.approx(expected_d1, abs=1e-9)
+        assert round(row.test.d1_star, 2) == 3.57
+        assert significance_marks(row.test.p_two_sided) == "***"
 
     def test_engineered_agreement_gives_null_row(self, tmp_path, fixture_dir):
         # ensemble trend set to the line's own slope: d1 ~ 0, marks "- (-)"
@@ -144,16 +178,19 @@ class TestRunComparison:
             mode="trend",
         )
         row = run_comparison(spec, registry)
-        assert abs(row.d1) < 1e-9
-        assert row.percentile == pytest.approx(50.0, abs=1e-6)
-        assert significance_marks(row.p_two_sided) == "-"
-        assert significance_marks(row.p_one_sided) == "-"
+        assert abs(row.test.d1_star) < 1e-9
+        assert row.test.percentile == pytest.approx(50.0, abs=1e-6)
+        assert significance_marks(row.test.p_two_sided) == "-"
+        assert significance_marks(row.test.p_one_sided) == "-"
 
     def test_accepts_dataset_iterable(self, fixture_dir):
         datasets, comparisons = read_registry(fixture_dir / "registry.ini")
         by_map = run_comparison(comparisons[0], {d.id: d for d in datasets})
         by_list = run_comparison(comparisons[0], datasets)
-        assert by_map == by_list
+        for style in ("text", "csv"):
+            assert render([by_map], style) == render([by_list], style)
+        assert_same_fields(by_map.fit, by_list.fit)
+        assert_same_fields(by_map.test, by_list.test)
 
     def test_best_effort_flag_follows_notes(self, fixture_dir):
         spec = ComparisonSpec(
@@ -224,6 +261,20 @@ class TestRunComparisons:
         assert main(["compare", "--registry", str(fixture_dir / "registry.ini")]) == 0
         # sat_a.csv is named by two of the three comparisons
         assert sorted(reads) == ["line051.csv", "sat_a.csv", "surf_a.csv"]
+
+    def test_lapse_row_is_the_one_off_lapse_row(self, fixture_dir):
+        """A registry lapse row and a row built straight from the two files
+        come out of one pipeline: the same fit and the same verdict."""
+        datasets, comparisons = read_registry(fixture_dir / "registry.ini")
+        spec = next(c for c in comparisons if c.spec_id == "lapse_pair")
+        (row,) = report.run_comparisons([spec], datasets)
+
+        sat = read_series(fixture_dir / "sat_a.csv", name="SAT_A")
+        surf = read_series(fixture_dir / "surf_a.csv", name="SURF_A")
+        one_off = comparison_row(sat, spec.ensemble, spec.window, surf)
+        assert (row.label, one_off.label) == ("SURF_A-minus-SAT_A",) * 2
+        assert_same_fields(row.fit, one_off.fit)
+        assert_same_fields(row.test, one_off.test)
 
     def test_unreadable_dataset_reported_under_first_spec(self, fixture_dir):
         specs = [
